@@ -75,8 +75,8 @@ const (
 	HPaper HFunc = iota
 	// HPlus strengthens HPaper with two further admissible terms: the static
 	// graph lower bound, and for every unscheduled node with a scheduled
-	// parent, parent-finish + sl. Strictly tighter, costs O(e) per child
-	// (ablation "hplus").
+	// parent, parent-finish + sl. Strictly tighter, costs O(depth) per
+	// expansion and O(1) per child (ablation "hplus").
 	HPlus
 	// HLoad strengthens HPlus with two more admissible lower bounds: an
 	// idle-aware load-balance bound ⌈(Σ committed PE timelines + remaining
@@ -219,7 +219,8 @@ func (s *Stats) Add(other *Stats) {
 // Expander per worker; it owns reusable scratch arrays and a state Arena, so
 // expansion performs no heap allocation at all on the hot path — child
 // states come from the arena's slabs, and every filter (isomorphism class
-// dedup, equivalence classes, the hPlus scan) runs on preallocated scratch.
+// dedup, equivalence classes, the hPlus and critical-path bounds) runs on
+// preallocated scratch.
 type Expander struct {
 	M       *Model
 	Disable Disable
@@ -262,6 +263,10 @@ type Expander struct {
 	cpTop1  int32
 	cpTop2  int32
 	cpTop1N int32
+
+	// HPlus per-state scratch: the largest FT(q) + maxSlSucc(q) over the
+	// scheduled nodes q (see prepPlus).
+	plusTop int32
 }
 
 // NewExpander returns an expander for the model with its own scratch space
@@ -422,6 +427,12 @@ func (e *Expander) Expand(s *State, visited *Visited, emit func(*State)) int {
 		e.ready = append(e.ready, n)
 	}
 
+	// HPlus: the bound over the parent's scheduled nodes is shared by every
+	// child, so it is computed once per expansion.
+	if e.HFunc != HPaper {
+		e.prepPlus()
+	}
+
 	// HLoad: the comm-aware critical-path bounds are a function of the
 	// parent placements only, so they are computed once per expansion over
 	// the full surviving ready set — before any FTO truncation, since an
@@ -510,6 +521,28 @@ func (e *Expander) ftoFirst() (int32, bool) {
 	return e.ftoN[0], true
 }
 
+// prepPlus computes, once per expansion, the parent's half of the hPlus
+// bound: the largest FT(q) + maxSlSucc(q) over its scheduled nodes q, where
+// maxSlSucc(q) is the largest sl_min over q's children. hPlus is defined
+// over unscheduled children only (u cannot start before q finishes, and at
+// least sl_min(u) work follows), but counting the scheduled ones as well
+// changes no child's h: a scheduled child u finishes no earlier than
+// FT(q) + w_min(u), so FT(q) + sl_min(u) <= FT(u) + maxSlSucc(u), and
+// following such children ends at an unscheduled node (a true bound), at
+// the child's new node n (whose own term hPlus adds), or at a scheduled
+// exit (at most g). So the maximum needs no edge scan and no mask test.
+//
+//icpp98:hotpath
+func (e *Expander) prepPlus() {
+	m := e.M
+	e.plusTop = 0
+	for _, q := range e.sched {
+		if b := e.finishOf[q] + m.maxSlSucc[q]; b > e.plusTop {
+			e.plusTop = b
+		}
+	}
+}
+
 // prepCriticalPath computes, for every surviving ready node u, the
 // communication-aware earliest-start bound min over PEs of the latest
 // parent arrival (each parent pays its comm cost unless co-located) plus
@@ -588,7 +621,7 @@ func (e *Expander) expandNode(s *State, n int32, visited *Visited, emit func(*St
 			h = s.h
 		}
 		if e.HFunc != HPaper {
-			h = e.hPlus(s, n, ft, g, h)
+			h = e.hPlus(n, ft, g, h)
 		}
 		if e.HFunc == HLoad {
 			// Load-balance bound: every PE timeline in the child is at least
@@ -665,38 +698,23 @@ func (e *Expander) expandNode(s *State, n int32, visited *Visited, emit func(*St
 
 // hPlus strengthens h with further admissible lower bounds: the schedule
 // cannot finish before the graph's static lower bound, nor before
-// FT(q) + sl_min(u) for any scheduled node q with an unscheduled child u
-// (u cannot start before its parent finishes, and at least sl_min(u) work
-// follows on u's longest descending chain). The just-scheduled node n
-// contributes ft + sl_min(u) for each of its children, all of which are
-// necessarily unscheduled. The scan walks the expander's scratch list of
-// scheduled nodes, not the whole node set.
+// FT(q) + sl_min(u) for any scheduled node q with an unscheduled child u.
+// The parent's scheduled nodes contribute prepPlus's maximum; the
+// just-scheduled node n contributes ft + maxSlSucc(n), the largest
+// ft + sl_min(u) over its children u, all of them unscheduled (n was
+// ready). O(1) per child.
 //
 //icpp98:hotpath
-func (e *Expander) hPlus(s *State, n int32, ft, g, h int32) int32 {
+func (e *Expander) hPlus(n int32, ft, g, h int32) int32 {
 	m := e.M
 	if lb := m.staticLB - g; lb > h {
 		h = lb
 	}
-	childMask := s.mask.With(n)
-	for _, a := range m.G.Succ(n) {
-		if childMask.Has(a.Node) {
-			continue
-		}
-		if hb := ft + m.slMin[a.Node] - g; hb > h {
-			h = hb
-		}
+	if hb := e.plusTop - g; hb > h {
+		h = hb
 	}
-	for _, q := range e.sched {
-		fq := e.finishOf[q]
-		for _, a := range m.G.Succ(q) {
-			if childMask.Has(a.Node) {
-				continue
-			}
-			if hb := fq + m.slMin[a.Node] - g; hb > h {
-				h = hb
-			}
-		}
+	if hb := ft + m.maxSlSucc[n] - g; hb > h {
+		h = hb
 	}
 	return h
 }

@@ -9,10 +9,10 @@ import (
 // many workers can dedup through one global table at once. A shard is chosen
 // by the high bits of the state signature (the in-shard probe sequence uses
 // the low bits, so the two choices stay independent), and each shard is a
-// self-growing open-addressed table identical to the serial one — the inline
-// (sig, mask, g, depth) words resolve almost every probe without touching the
-// candidate state's memory, and parent chains are chased only on a full
-// inline match.
+// self-growing open-addressed table identical to the serial one — 16-byte
+// (state, sig) slots, so a probe resolves on the signature and the
+// candidate state's memory is touched only to verify a full signature
+// match exactly.
 //
 // The global table is what makes the native parallel engine duplicate-free
 // (Orr & Sinnen): a partial schedule generated by any worker is expanded at

@@ -380,9 +380,8 @@ func TestCompleteStateInvariants(t *testing.T) {
 	}
 }
 
-// TestVisitedExactness: two different placements with a (contrived) hash
-// collision must not merge. We simulate by checking Add on genuinely
-// distinct states always succeeds.
+// TestVisitedExactness: re-adding a generated state is rejected, and two
+// different partial schedules with a forced hash collision must not merge.
 func TestVisitedExactness(t *testing.T) {
 	g := gen.PaperExample()
 	m, err := NewModel(g, procgraph.Ring(3))
@@ -402,5 +401,40 @@ func TestVisitedExactness(t *testing.T) {
 	}
 	if vt.Len() != len(states) {
 		t.Errorf("visited length %d != %d", vt.Len(), len(states))
+	}
+
+	// Forced collisions: states that share a signature and their
+	// (node, PE, start) chain but differ in mask, g or depth are distinct
+	// partial schedules. Both tables must keep every one and count each as
+	// a caught collision — the exact check behind a full 64-bit signature
+	// match reads these fields from the stored state, not from the slot.
+	const sig = 0x5eed
+	root := Root()
+	base := &State{parent: root, sig: sig, mask: Mask{1}, g: 5, node: 0, proc: 0, start: 0, finish: 5, depth: 1}
+	variants := map[string]*State{
+		"mask":  {parent: root, sig: sig, mask: Mask{3}, g: 5, node: 0, proc: 0, start: 0, finish: 5, depth: 1},
+		"g":     {parent: root, sig: sig, mask: Mask{1}, g: 6, node: 0, proc: 0, start: 0, finish: 5, depth: 1},
+		"depth": {parent: root, sig: sig, mask: Mask{1}, g: 5, node: 0, proc: 0, start: 0, finish: 5, depth: 2},
+	}
+	for name, other := range variants {
+		vt := NewVisited()
+		sv := NewSharedVisited(4)
+		for _, s := range []*State{base, other} {
+			if !vt.Add(s) {
+				t.Errorf("%s: Visited merged states that differ in %s", name, name)
+			}
+			if !sv.Add(s) {
+				t.Errorf("%s: SharedVisited merged states that differ in %s", name, name)
+			}
+		}
+		if vt.Collisions != 1 || sv.Collisions() != 1 {
+			t.Errorf("%s: collisions Visited=%d SharedVisited=%d, want 1 each", name, vt.Collisions, sv.Collisions())
+		}
+		if vt.Add(base) || sv.Add(base) {
+			t.Errorf("%s: re-adding the stored state was accepted as new", name)
+		}
+		if vt.Len() != 2 || sv.Len() != 2 {
+			t.Errorf("%s: lengths Visited=%d SharedVisited=%d, want 2", name, vt.Len(), sv.Len())
+		}
 	}
 }

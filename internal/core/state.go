@@ -127,10 +127,10 @@ func sigMix(node, proc, start int32) uint64 {
 	return x
 }
 
-// sameAssignment reports whether two states with equal signatures and masks
-// really denote the same partial schedule, by exact comparison of their
-// (node, proc, start) sets. Quadratic in depth, but only runs on 64-bit
-// hash agreement.
+// sameAssignment reports whether two states with equal signatures really
+// denote the same partial schedule: equal mask, depth and g, then exact
+// comparison of their (node, proc, start) sets. Quadratic in depth, but
+// only runs on 64-bit hash agreement.
 //
 //icpp98:hotpath
 func sameAssignment(a, b *State) bool {
@@ -162,14 +162,13 @@ func (m *Model) ScheduleOf(s *State) *schedule.Schedule {
 }
 
 // Visited is the duplicate-state table (the OPEN ∪ CLOSED membership test of
-// §3.1). It is an open-addressed hash table whose entries carry the
-// identity-defining fields — signature, scheduled-set mask words, g, depth —
-// inline, per the duplicate-free-state-space literature (Orr & Sinnen): a
-// probe almost always resolves on the inline words alone, without touching
-// the candidate state's memory, and the parent chain is only chased for the
-// exact verification of a full inline match. Compared with the previous
-// map[uint64][]*State, the table stores no per-signature bucket slices and
-// its memory is a single flat slab that grows by doubling.
+// §3.1). It is an open-addressed hash table of 16-byte slots, each holding
+// a state's 64-bit signature next to the state pointer: a probe resolves on
+// the signature alone for every slot but a full 64-bit match, and only
+// then does the exact verification (sameAssignment: mask, depth and g
+// first, then the parent chains) touch the candidate state's memory. The
+// table's memory is a single flat slab that grows by doubling; keeping the
+// slots small keeps that slab, its zeroing and its rehash cheap.
 type Visited struct {
 	entries    []visEntry // power-of-two sized, linear probing
 	n          int        // occupied entries
@@ -177,14 +176,11 @@ type Visited struct {
 	Collisions int64      // 64-bit hash collisions that exact comparison caught
 }
 
-// visEntry is one slot: the inline identity words plus the state pointer
-// (nil marks an empty slot) chased only on a full inline match.
+// visEntry is one slot: the signature plus the state pointer (nil marks an
+// empty slot) chased only on a signature match.
 type visEntry struct {
-	st    *State
-	sig   uint64
-	mask  Mask
-	g     int32
-	depth int32
+	st  *State
+	sig uint64
 }
 
 // visitedMinSize is the initial table capacity (a power of two).
@@ -201,8 +197,8 @@ func NewVisited() *Visited {
 // unless an identical partial schedule is already stored, and reports
 // whether s was inserted plus how many 64-bit hash collisions the exact
 // comparison caught along the way. Keeping the identity comparison (sig,
-// mask, g, depth, then sameAssignment) in one place guarantees the serial
-// and concurrent engines can never disagree on what "duplicate" means.
+// then sameAssignment) in one place guarantees the serial and concurrent
+// engines can never disagree on what "duplicate" means.
 //
 //icpp98:hotpath
 func visInsert(entries []visEntry, s *State) (inserted bool, collisions int64) {
@@ -210,11 +206,11 @@ func visInsert(entries []visEntry, s *State) (inserted bool, collisions int64) {
 	for {
 		e := &entries[idx]
 		if e.st == nil {
-			*e = visEntry{st: s, sig: s.sig, mask: s.mask, g: s.g, depth: s.depth}
+			*e = visEntry{st: s, sig: s.sig}
 			return true, collisions
 		}
 		if e.sig == s.sig {
-			if e.mask == s.mask && e.g == s.g && e.depth == s.depth && sameAssignment(s, e.st) {
+			if sameAssignment(s, e.st) {
 				return false, collisions
 			}
 			collisions++

@@ -42,11 +42,14 @@ func New(g *taskgraph.Graph, sys *procgraph.System, place []Placement) *Schedule
 
 // Validate checks every constraint of the scheduling model:
 //
-//   - every node is placed on a PE in range with Start >= 0,
+//   - every node is placed on a PE in range with 0 <= Start <= Finish,
 //   - Finish - Start equals the node's execution cost on its PE,
 //   - a node starts only after every parent has finished, plus the
 //     communication cost if the parent ran on a different PE,
 //   - no two nodes overlap on the same PE.
+//
+// Time arithmetic is done in int64, so a placement whose int32 finish time
+// has wrapped around cannot pass as the right duration.
 //
 // It returns nil for a feasible schedule and a descriptive error otherwise.
 func (s *Schedule) Validate() error {
@@ -67,18 +70,22 @@ func (s *Schedule) Validate() error {
 		if pl.Start < 0 {
 			return fmt.Errorf("schedule: node %s starts at negative time %d", g.Label(int32(n)), pl.Start)
 		}
-		want := sys.ExecCost(g.Weight(int32(n)), int(pl.Proc))
-		if pl.Finish-pl.Start != want {
+		if pl.Finish < pl.Start {
+			return fmt.Errorf("schedule: node %s finishes at %d before it starts at %d",
+				g.Label(int32(n)), pl.Finish, pl.Start)
+		}
+		want := int64(sys.ExecCost(g.Weight(int32(n)), int(pl.Proc)))
+		if run := int64(pl.Finish) - int64(pl.Start); run != want {
 			return fmt.Errorf("schedule: node %s runs for %d, want execution cost %d",
-				g.Label(int32(n)), pl.Finish-pl.Start, want)
+				g.Label(int32(n)), run, want)
 		}
 	}
 	for n := 0; n < v; n++ {
 		child := s.Place[n]
 		for _, a := range g.Pred(int32(n)) {
 			parent := s.Place[a.Node]
-			ready := parent.Finish + sys.CommCost(a.Cost, int(parent.Proc), int(child.Proc))
-			if child.Start < ready {
+			ready := int64(parent.Finish) + int64(sys.CommCost(a.Cost, int(parent.Proc), int(child.Proc)))
+			if int64(child.Start) < ready {
 				return fmt.Errorf("schedule: node %s starts at %d before data from %s is ready at %d",
 					g.Label(int32(n)), child.Start, g.Label(a.Node), ready)
 			}

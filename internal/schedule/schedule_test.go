@@ -50,6 +50,31 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsWrappedFinish: a 3-task chain of weight 1e9 run back
+// to back on one PE has a true makespan of 3e9, past int32. Its last finish
+// wraps to -1294967296, and int32 Finish-Start arithmetic wraps back to the
+// right duration; Validate must reject the placement instead.
+func TestValidateRejectsWrappedFinish(t *testing.T) {
+	b := taskgraph.NewBuilder("chain-1e9")
+	n0 := b.AddNode(1e9)
+	n1 := b.AddNode(1e9)
+	n2 := b.AddNode(1e9)
+	b.AddEdge(n0, n1, 0)
+	b.AddEdge(n1, n2, 0)
+	g := b.MustBuild()
+	const wrapped = int32(-1294967296) // int32(3e9)
+	s := New(g, procgraph.Complete(1), []Placement{
+		{Proc: 0, Start: 0, Finish: 1e9},
+		{Proc: 0, Start: 1e9, Finish: 2e9},
+		{Proc: 0, Start: 2e9, Finish: wrapped},
+	})
+	if err := s.Validate(); err == nil {
+		t.Fatal("Validate accepted a placement whose finish wrapped past int32")
+	} else if !strings.Contains(err.Error(), "before it starts") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
 func TestValidateOverlap(t *testing.T) {
 	b := taskgraph.NewBuilder("pair")
 	b.AddNode(5)
