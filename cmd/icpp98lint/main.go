@@ -1,12 +1,13 @@
 // Command icpp98lint statically enforces this repo's concurrency,
-// hot-path, and wire invariants. It runs two ways:
+// hot-path, and wire invariants. It runs as a go vet tool:
 //
-//	icpp98lint ./...                       # standalone multichecker
-//	go vet -vettool=$(which icpp98lint) ./...  # unit checker under cmd/go
+//	go build -o icpp98lint ./cmd/icpp98lint
+//	go vet -vettool=$PWD/icpp98lint ./...
 //
-// The vettool mode speaks cmd/go's vet.cfg protocol (-V=full, -flags,
-// then one JSON config per package), so findings participate in go
-// vet's build cache: clean packages are not re-analyzed.
+// It speaks cmd/go's vet.cfg protocol (-V=full, -flags, then one JSON
+// config per package), so findings participate in go vet's build cache:
+// clean packages are not re-analyzed, and test files are covered through
+// each package's test variant.
 //
 // Exit status: 0 clean, 1 tool failure, 2 findings. Suppress a finding
 // with a same-line or preceding-line comment:
@@ -31,8 +32,6 @@ func main() {
 }
 
 func run(args []string) int {
-	analyzers := suite.Analyzers()
-
 	// cmd/go probes the tool before first use: -V=full must print a
 	// stable tool ID (cache key), -flags the analyzer flags (none).
 	if len(args) == 1 {
@@ -44,36 +43,11 @@ func run(args []string) int {
 			fmt.Println("[]")
 			return 0
 		case strings.HasSuffix(args[0], ".cfg"):
-			return driver.RunUnitchecker(args[0], analyzers)
+			return driver.RunUnitchecker(args[0], suite.Analyzers())
 		}
 	}
-
-	// Standalone: analyze the patterns (default ./...) including test
-	// variants, print findings in file:line order.
-	patterns := args
-	for _, a := range patterns {
-		if strings.HasPrefix(a, "-") {
-			fmt.Fprintf(os.Stderr, "icpp98lint: unknown flag %s\nusage: icpp98lint [packages]  (or as go vet -vettool)\n", a)
-			return 1
-		}
-	}
-	dir, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "icpp98lint:", err)
-		return 1
-	}
-	res, err := driver.RunStandalone(dir, patterns, true, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "icpp98lint:", err)
-		return 1
-	}
-	for _, d := range res.Diagnostics {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(res.Diagnostics) > 0 {
-		return 2
-	}
-	return 0
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(command -v icpp98lint) [packages]")
+	return 1
 }
 
 // toolID derives the tool's cache-busting version from its own binary:

@@ -6,9 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis/driver"
-	"repro/internal/analysis/suite"
 )
 
 // repoRoot walks up from the working directory to the module root.
@@ -30,46 +27,34 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// TestSuiteCleanOverRepo is the smoke test CI's lint job depends on: the
-// full suite over every package (tests included) must be finding-free —
-// each invariant violation is either fixed or carries a documented
-// //icpp98:allow suppression.
-func TestSuiteCleanOverRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole repo; skipped in -short")
-	}
-	res, err := driver.RunStandalone(repoRoot(t), []string{"./..."}, true, suite.Analyzers())
-	if err != nil {
-		t.Fatalf("standalone run: %v", err)
-	}
-	for _, d := range res.Diagnostics {
-		t.Errorf("%s", d)
-	}
-	if res.Packages == 0 {
-		t.Fatal("no packages analyzed")
-	}
-}
-
-// TestVettoolProtocol drives the real thing: build the binary, hand it to
-// `go vet -vettool` for a package with known hot-path annotations, and
-// require a clean exit. This exercises -V=full, -flags, the vet.cfg
-// unitchecker path, and .vetx fact plumbing exactly as CI runs them.
-func TestVettoolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the lint binary and runs go vet; skipped in -short")
-	}
-	root := repoRoot(t)
+// buildLint builds the icpp98lint binary into a temporary directory and
+// returns its path.
+func buildLint(t *testing.T, root string) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "icpp98lint")
 	build := exec.Command("go", "build", "-o", bin, "./cmd/icpp98lint")
 	build.Dir = root
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building icpp98lint: %v\n%s", err, out)
 	}
+	return bin
+}
 
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./internal/core/...", "./internal/heapx/...")
+// TestSuiteCleanOverRepo drives the real thing over the whole repo: build
+// the binary and hand it to `go vet -vettool` for ./..., test files
+// included, requiring a clean exit. Every invariant violation is either
+// fixed or carries a documented //icpp98:allow suppression. This
+// exercises -V=full, -flags, the vet.cfg unitchecker path, and .vetx fact
+// plumbing exactly as CI runs them.
+func TestSuiteCleanOverRepo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the lint binary and vets the whole repo; skipped in -short")
+	}
+	root := repoRoot(t)
+	vet := exec.Command("go", "vet", "-vettool="+buildLint(t, root), "./...")
 	vet.Dir = root
 	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool: %v\n%s", err, out)
+		t.Fatalf("go vet -vettool ./...: %v\n%s", err, out)
 	}
 }
 
@@ -79,13 +64,7 @@ func TestVettoolRejectsViolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the lint binary and runs go vet; skipped in -short")
 	}
-	root := repoRoot(t)
-	bin := filepath.Join(t.TempDir(), "icpp98lint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/icpp98lint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building icpp98lint: %v\n%s", err, out)
-	}
+	bin := buildLint(t, repoRoot(t))
 
 	mod := t.TempDir()
 	writeFile(t, filepath.Join(mod, "go.mod"), "module seeded\n\ngo 1.22\n")

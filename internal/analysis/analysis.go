@@ -35,7 +35,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, suppression comments,
 	// and fact files. It must be a valid identifier.
 	Name string
-	// Doc is the one-paragraph description shown by `icpp98lint -help`;
+	// Doc is the one-paragraph description of the invariant;
 	// the first line is the summary.
 	Doc string
 	// Run applies the analyzer to one package.

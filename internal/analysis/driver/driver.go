@@ -1,18 +1,12 @@
-// Package driver runs the icpp98lint analyzers over type-checked
-// packages. It has two front ends sharing one core:
+// Package driver runs the icpp98lint analyzers under go vet: RunUnitchecker
+// implements the (unpublished but stable) go vet -vettool protocol —
+// cmd/go hands the tool one JSON vet.cfg per package, export data for
+// every dependency, and .vetx fact files produced by earlier invocations
+// of this same tool.
 //
-//   - Load + RunStandalone: a self-contained multichecker. Package
-//     metadata and dependency export data come from `go list -test -deps
-//     -export -json`, target packages are parsed and type-checked from
-//     source, and facts flow between module packages in memory.
-//   - RunUnitchecker: the (unpublished but stable) go vet -vettool
-//     protocol — cmd/go hands the tool one JSON vet.cfg per package,
-//     export data for every dependency, and .vetx fact files produced by
-//     earlier invocations of this same tool.
-//
-// Both are built exclusively on the standard library (go/parser,
-// go/types, go/importer); see the package comment of internal/analysis
-// for why x/tools is not used.
+// It is built exclusively on the standard library (go/parser, go/types,
+// go/importer); see the package comment of internal/analysis for why
+// x/tools is not used.
 package driver
 
 import (
@@ -23,7 +17,6 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -69,9 +62,9 @@ type checkedPackage struct {
 	importMap map[string]string // source import path -> resolved path
 }
 
-// gcImporter builds the export-data importer the loaders share: import
-// paths are first translated through importMap (test-variant and vendor
-// remappings), then resolved to an export file by lookup.
+// gcImporter builds the export-data importer: import paths are first
+// translated through importMap (test-variant and vendor remappings), then
+// resolved to an export file by lookup.
 func gcImporter(fset *token.FileSet, importMap map[string]string, lookup func(resolved string) (io.ReadCloser, error)) types.ImporterFrom {
 	return importer.ForCompiler(fset, "gc", func(srcPath string) (io.ReadCloser, error) {
 		resolved := srcPath
@@ -129,9 +122,6 @@ func typecheck(fset *token.FileSet, path, goVersion string, files []string, imp 
 func runAnalyzers(cp *checkedPackage, analyzers []*analysis.Analyzer, facts *analysis.FactSet, imported func(resolved string) *analysis.FactSet) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	resolve := func(pkgPath string) *analysis.FactSet {
-		if imported == nil {
-			return nil
-		}
 		if r, ok := cp.importMap[pkgPath]; ok {
 			if fs := imported(r); fs != nil {
 				return fs
@@ -153,5 +143,3 @@ func runAnalyzers(cp *checkedPackage, analyzers []*analysis.Analyzer, facts *ana
 	}
 	return diags, nil
 }
-
-func openFile(name string) (io.ReadCloser, error) { return os.Open(name) }

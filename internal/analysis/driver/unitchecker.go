@@ -84,10 +84,9 @@ func unitcheck(cfgPath string, analyzers []*analysis.Analyzer) (int, error) {
 	// denylist), not analysis of its internals: running the may-block
 	// fixpoint over fmt or reflect would export facts like "fmt.Sprintf
 	// may block" (it transitively reaches reflect's channel plumbing) and
-	// poison every caller in the module. Standalone mode never analyzes
-	// deps; match it by emitting an empty fact file for non-module
-	// packages. (cfg.Standard only covers the package's imports, so the
-	// discriminator is ModulePath: cmd/go leaves it empty for stdlib.)
+	// poison every caller in the module. So non-module packages get an
+	// empty fact file. (cfg.Standard only covers the package's imports, so
+	// the discriminator is ModulePath: cmd/go leaves it empty for stdlib.)
 	if cfg.ModulePath == "" {
 		return 0, writeFacts(analysis.NewFactSet())
 	}
@@ -97,7 +96,7 @@ func unitcheck(cfgPath string, analyzers []*analysis.Analyzer) (int, error) {
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", resolved)
 		}
-		return openFile(file)
+		return os.Open(file)
 	}
 	fset := token.NewFileSet()
 	cp, err := typecheck(fset, cfg.ImportPath, cfg.GoVersion, cfg.GoFiles, gcImporter(fset, cfg.ImportMap, lookup), cfg.ImportMap)

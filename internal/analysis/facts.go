@@ -16,7 +16,7 @@ type Fact interface{ AFact() }
 
 // FactSet is the facts of one package: analyzer name -> object path ->
 // encoded fact. It serializes to the .vetx file the go vet driver caches
-// between runs, and lives in memory for the standalone driver.
+// between runs, and lives in memory for the analysistest harness.
 type FactSet struct {
 	Version int                                   `json:"version"`
 	Facts   map[string]map[string]json.RawMessage `json:"facts,omitempty"`

@@ -254,15 +254,11 @@ type Expander struct {
 	ftoOut      []int32 // scratch: their out-edge comm costs
 
 	// HLoad per-state scratch: committed PE-timeline sum and remaining
-	// minimum work (load-balance bound), plus the two largest
-	// comm-aware critical-path bounds over the ready set and the node the
-	// largest belongs to (so the child that schedules it falls back to the
-	// runner-up).
-	sumRT   int64
-	remMin  int64
-	cpTop1  int32
-	cpTop2  int32
-	cpTop1N int32
+	// minimum work (load-balance bound), plus the largest comm-aware
+	// critical-path bound over the ready set.
+	sumRT  int64
+	remMin int64
+	cpTop  int32
 
 	// HPlus per-state scratch: the largest FT(q) + maxSlSucc(q) over the
 	// scheduled nodes q (see prepPlus).
@@ -547,13 +543,15 @@ func (e *Expander) prepPlus() {
 // communication-aware earliest-start bound min over PEs of the latest
 // parent arrival (each parent pays its comm cost unless co-located) plus
 // sl_min(u) — a lower bound on any schedule that still has to run u. Only
-// the two largest bounds (and the node owning the largest) are kept: a
-// child that schedules the witness node falls back to the runner-up.
+// the largest is kept, even for the child that schedules its witness n:
+// there lbStart(n) <= st and sl_min(n) = w_min(n) + maxSlSucc(n) with
+// w_min(n) <= exec(n, pe), so n's bound is at most ft + maxSlSucc(n),
+// which hPlus already adds to h.
 //
 //icpp98:hotpath
 func (e *Expander) prepCriticalPath() {
 	m := e.M
-	e.cpTop1, e.cpTop2, e.cpTop1N = 0, 0, -1
+	e.cpTop = 0
 	for _, n := range e.ready {
 		var lbStart int32
 		if len(m.G.Pred(n)) > 0 {
@@ -571,12 +569,8 @@ func (e *Expander) prepCriticalPath() {
 				}
 			}
 		}
-		cpb := lbStart + m.slMin[n]
-		if cpb > e.cpTop1 {
-			e.cpTop2 = e.cpTop1
-			e.cpTop1, e.cpTop1N = cpb, n
-		} else if cpb > e.cpTop2 {
-			e.cpTop2 = cpb
+		if cpb := lbStart + m.slMin[n]; cpb > e.cpTop {
+			e.cpTop = cpb
 		}
 	}
 }
@@ -632,15 +626,10 @@ func (e *Expander) expandNode(s *State, n int32, visited *Visited, emit func(*St
 			if lb := int32((sum + rem + int64(m.P) - 1) / int64(m.P)); lb-g > h {
 				h = lb - g
 			}
-			// Comm-aware critical path over the parent's ready set; the bound
-			// owned by n itself no longer applies once n is scheduled, so that
-			// child falls back to the runner-up.
-			cp := e.cpTop1
-			if e.cpTop1N == n {
-				cp = e.cpTop2
-			}
-			if cp-g > h {
-				h = cp - g
+			// Comm-aware critical path over the parent's ready set (n's own
+			// bound included: hPlus dominates it, see prepCriticalPath).
+			if e.cpTop-g > h {
+				h = e.cpTop - g
 			}
 		}
 		f := g + h

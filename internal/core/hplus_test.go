@@ -40,10 +40,48 @@ func referenceHPlus(m *Model, s *State, n, ft, g, h int32) int32 {
 	return h
 }
 
+// referenceCriticalPath is the HLoad critical-path term as first defined:
+// the largest communication-aware earliest start plus sl_min over the
+// nodes ready in s, skipping the node n the child schedules. It scans the
+// ready set from s's mask rather than the expander's scratch, which the
+// fixed-task-order collapse may already have truncated; nodes the
+// equivalence prunings skip share their representative's bound, so the
+// maximum is the same.
+func referenceCriticalPath(e *Expander, s *State, n int32) int32 {
+	m := e.M
+	var cp int32
+	for u := int32(0); int(u) < m.V; u++ {
+		if u == n || s.mask.Has(u) {
+			continue
+		}
+		ready := true
+		for _, a := range m.G.Pred(u) {
+			ready = ready && s.mask.Has(a.Node)
+		}
+		if !ready {
+			continue
+		}
+		var lbStart int32
+		if len(m.G.Pred(u)) > 0 {
+			lbStart = int32(1<<31 - 1)
+			for pe := 0; pe < m.P; pe++ {
+				var arr int32
+				for _, a := range m.G.Pred(u) {
+					arr = max(arr, e.finishOf[a.Node]+m.Sys.CommCost(a.Cost, int(e.procOf[a.Node]), pe))
+				}
+				lbStart = min(lbStart, arr)
+			}
+		}
+		cp = max(cp, lbStart+m.slMin[u])
+	}
+	return cp
+}
+
 // referenceChildH recomputes the h the expander should have given child c of
 // s: the paper's incremental h, the reference hPlus scan, and (for HLoad)
-// the load-balance and critical-path terms from the expander's per-state
-// scratch, which is live while Expand emits s's children.
+// the load-balance term from the expander's per-state scratch, which is
+// live while Expand emits s's children, and the reference critical-path
+// term.
 func referenceChildH(e *Expander, s, c *State) int32 {
 	m := e.M
 	n, ft, g := c.node, c.finish, c.g
@@ -65,11 +103,7 @@ func referenceChildH(e *Expander, s, c *State) int32 {
 		if lb := int32((sum + rem + int64(m.P) - 1) / int64(m.P)); lb-g > h {
 			h = lb - g
 		}
-		cp := e.cpTop1
-		if e.cpTop1N == n {
-			cp = e.cpTop2
-		}
-		if cp-g > h {
+		if cp := referenceCriticalPath(e, s, n); cp-g > h {
 			h = cp - g
 		}
 	}

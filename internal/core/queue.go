@@ -56,123 +56,68 @@ func (q *BestFirstQueue) Len() int { return q.h.Len() }
 
 // FocalQueue is the Aε* OPEN list of §3.4. FOCAL holds the states with
 // f(s') <= (1+ε)·min f(OPEN); Pop returns the FOCAL state preferred by the
-// secondary heuristic (deepest partial schedule). The structure is three
-// lazy heaps: pending (by f, not yet admitted), focal (by the secondary
-// order), and all (by f, with lazy deletion, tracking min f).
+// secondary heuristic (deepest partial schedule, then smallest f, then sig:
+// FocalLess).
 //
-// Lazy deletion is counted, not flagged: the parallel engine's load sharing
-// can legitimately re-Push a pointer that was Popped from this queue
-// earlier (it ping-ponged through another PPE), so `all` may hold several
-// copies of one pointer, some dead and some live. A boolean tombstone would
-// be consumed by whichever copy surfaces first and turn the remaining dead
-// copy into a live "ghost" whose f deflates MinF forever — the multiset
-// count keeps pushes and pops exactly balanced.
-//
-// Dead entries are not left to surface lazily at the top: whenever they
-// exceed half of `all`, compact sweeps them (and their `removed` counts)
-// out eagerly, so the retained memory of both structures stays proportional
-// to the live queue, not to the total pop history.
+// The queue keeps one heap per depth, each ordered by FocalLess, which
+// within one depth is the order by f. A bucket's top is therefore its
+// minimum f: MinF is the smallest top, and the deepest bucket whose top is
+// within the bound holds the FocalLess-minimum of FOCAL, so Pop scans the
+// tops from the deepest bucket down. Nothing is deleted lazily, so a
+// pointer re-pushed after being popped (the parallel engine's load sharing
+// does this) is simply queued again.
 type FocalQueue struct {
 	eps     float64
-	pending *heapx.Heap[*State]
-	focal   *heapx.Heap[*State]
-	all     *heapx.Heap[*State]
-	removed map[*State]int // pops not yet purged from all, per pointer
-	dead    int            // total count over removed: dead copies inside all
+	buckets []heapx.Heap[*State] // indexed by depth
+	n       int
 }
 
 // NewFocalQueue returns an empty FOCAL queue with the given ε.
 func NewFocalQueue(eps float64) *FocalQueue {
-	return &FocalQueue{
-		eps:     eps,
-		pending: heapx.NewWithCapacity(Less, 1024),
-		focal:   heapx.NewWithCapacity(FocalLess, 1024),
-		all:     heapx.NewWithCapacity(func(a, b *State) bool { return a.f < b.f }, 2048),
-		removed: make(map[*State]int, 1024),
-	}
+	return &FocalQueue{eps: eps}
 }
 
 // Push inserts a state.
 func (q *FocalQueue) Push(s *State) {
-	q.pending.Push(s)
-	q.all.Push(s)
+	for len(q.buckets) <= int(s.depth) {
+		q.buckets = append(q.buckets, *heapx.New(FocalLess))
+	}
+	q.buckets[s.depth].Push(s)
+	q.n++
 }
 
 // MinF returns the minimum f over queued states.
 func (q *FocalQueue) MinF() (int32, bool) {
-	for q.all.Len() > 0 && q.removed[q.all.Peek()] > 0 {
-		s := q.all.Pop()
-		q.dead--
-		if q.removed[s] == 1 {
-			delete(q.removed, s)
-		} else {
-			q.removed[s]--
-		}
-	}
-	if q.all.Len() == 0 {
+	if q.n == 0 {
 		return 0, false
 	}
-	return q.all.Peek().f, true
-}
-
-// compact rebuilds `all` without its dead copies once they exceed half the
-// heap, consuming the matching `removed` counts. Only the multiset of f
-// values in `all` matters to MinF, so the rebuild cannot change any
-// observable ordering.
-func (q *FocalQueue) compact() {
-	if q.dead*2 <= q.all.Len() {
-		return
-	}
-	kept := make([]*State, 0, q.all.Len()-q.dead)
-	for _, s := range q.all.Items() {
-		if c := q.removed[s]; c > 0 {
-			if c == 1 {
-				delete(q.removed, s)
-			} else {
-				q.removed[s] = c - 1
-			}
-			continue
+	fmin := int32(1<<31 - 1)
+	for i := range q.buckets {
+		if b := &q.buckets[i]; b.Len() > 0 && b.Peek().f < fmin {
+			fmin = b.Peek().f
 		}
-		kept = append(kept, s)
 	}
-	q.all.Clear()
-	for _, s := range kept {
-		q.all.Push(s)
-	}
-	q.dead = 0
+	return fmin, true
 }
 
 // Pop returns the deepest state within the FOCAL bound, or nil when empty.
 func (q *FocalQueue) Pop() *State {
-	for {
-		fmin, ok := q.MinF()
-		if !ok {
-			return nil
+	fmin, ok := q.MinF()
+	if !ok {
+		return nil
+	}
+	bound := float64(fmin) * (1 + q.eps)
+	for d := len(q.buckets) - 1; ; d-- {
+		// The bucket holding the min-f state qualifies, so the scan stops.
+		if b := &q.buckets[d]; b.Len() > 0 && float64(b.Peek().f) <= bound {
+			q.n--
+			return b.Pop()
 		}
-		bound := float64(fmin) * (1 + q.eps)
-		for q.pending.Len() > 0 && float64(q.pending.Peek().f) <= bound {
-			q.focal.Push(q.pending.Pop())
-		}
-		for q.focal.Len() > 0 {
-			s := q.focal.Pop()
-			if float64(s.f) > bound {
-				// Stale: admitted under a larger bound that has since
-				// shrunk (min f decreased); push back for later.
-				q.pending.Push(s)
-				continue
-			}
-			q.removed[s]++
-			q.dead++
-			q.compact()
-			return s
-		}
-		// FOCAL drained by stale entries; re-establish the bound. The min-f
-		// state always qualifies, so the migration above will refill FOCAL.
 	}
 }
 
 // Len returns the number of queued states.
-func (q *FocalQueue) Len() int { return q.pending.Len() + q.focal.Len() }
+func (q *FocalQueue) Len() int { return q.n }
 
 var (
 	_ Queue = (*BestFirstQueue)(nil)

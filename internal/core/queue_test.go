@@ -115,10 +115,10 @@ func TestFocalQueueDrains(t *testing.T) {
 
 // TestFocalQueueRePushPointer is the regression test for the parallel Aε*
 // livelock: load sharing can re-Push a pointer that was popped from this
-// queue earlier (after it ping-ponged through another PPE). With
-// boolean-flag lazy deletion the dead heap copy became a live "ghost"
-// deflating MinF forever, so Pop spun without progress; the counted
-// tombstones must keep MinF equal to the true minimum over live states.
+// queue earlier (after it ping-ponged through another PPE). An earlier
+// queue with boolean-flag lazy deletion turned the dead heap copy into a
+// live "ghost" deflating MinF forever, so Pop spun without progress; MinF
+// must stay equal to the true minimum over the queued states.
 func TestFocalQueueRePushPointer(t *testing.T) {
 	q := NewFocalQueue(0.2)
 	ghost := &State{f: 5, depth: 1, sig: 1}
@@ -139,7 +139,7 @@ func TestFocalQueueRePushPointer(t *testing.T) {
 	if s := q.Pop(); s != ghost {
 		t.Fatalf("expected re-pushed ghost, got %+v", s)
 	}
-	// Now only `other` is live; the dead ghost copies must not deflate MinF
+	// Now only `other` is queued; the popped ghost must not deflate MinF
 	// (the livelock symptom: MinF=5 forever with nothing to migrate).
 	fmin, ok = q.MinF()
 	if !ok || fmin != 100 {
@@ -150,45 +150,6 @@ func TestFocalQueueRePushPointer(t *testing.T) {
 	}
 	if s := q.Pop(); s != nil {
 		t.Fatalf("expected empty queue, popped %+v", s)
-	}
-}
-
-// TestFocalQueueBoundedRetention asserts the lazy-deletion structures stay
-// proportional to the live queue under push/pop churn: before the eager
-// compaction, `all` and `removed` retained every dead entry until it
-// happened to surface at the top, so a long search with a small live queue
-// held its whole pop history in memory.
-func TestFocalQueueBoundedRetention(t *testing.T) {
-	q := NewFocalQueue(0.5)
-	rng := rand.New(rand.NewSource(11))
-	sig := uint64(0)
-	for round := 0; round < 20; round++ {
-		for i := 0; i < 500; i++ {
-			sig++
-			q.Push(&State{f: int32(rng.Intn(100)), depth: int32(rng.Intn(30)), sig: sig})
-		}
-		for i := 0; i < 490; i++ {
-			if q.Pop() == nil {
-				t.Fatal("Pop nil with states queued")
-			}
-		}
-		live := q.Len()
-		// Compaction fires once dead copies exceed half of `all`, so the
-		// heap can never hold more than 2× the live states (plus the one
-		// pop that tripped the threshold).
-		if q.all.Len() > 2*live+2 {
-			t.Fatalf("round %d: all retains %d entries for %d live states", round, q.all.Len(), live)
-		}
-		dead := 0
-		for _, c := range q.removed {
-			dead += c
-		}
-		if dead != q.dead {
-			t.Fatalf("round %d: removed multiset totals %d but dead counter is %d", round, dead, q.dead)
-		}
-		if q.all.Len() != live+q.dead {
-			t.Fatalf("round %d: all holds %d entries; want %d live + %d dead", round, q.all.Len(), live, q.dead)
-		}
 	}
 }
 

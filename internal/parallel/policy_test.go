@@ -11,8 +11,8 @@ import (
 
 // TestEpsilonWithHashDistribution exercises the Aε* FOCAL queues together
 // with hash-partitioned state routing — the combination whose cross-PPE
-// state ping-pong uncovered the counted-tombstone requirement in the
-// FOCAL queue (see TestFocalQueueRePushPointer in core).
+// state ping-pong re-pushes popped pointers into a FOCAL queue (see
+// TestFocalQueueRePushPointer in core).
 func TestEpsilonWithHashDistribution(t *testing.T) {
 	for _, eps := range []float64{0.2, 0.5} {
 		g := gen.MustRandom(gen.RandomConfig{V: 10, CCR: 1.0, Seed: 7})
