@@ -58,6 +58,52 @@ func TestSuiteCleanOverRepo(t *testing.T) {
 	}
 }
 
+// TestVettoolProtocol checks the handshake cmd/go relies on, one probe at
+// a time: -V=full prints a tool ID that is stable across calls (go vet's
+// cache key), -flags prints an empty analyzer-flag list, and any other
+// invocation is a usage error. It then hands the binary to `go vet
+// -vettool` for packages with known hot-path annotations, whose facts
+// cross the internal/heapx -> internal/core import edge through .vetx
+// files, and requires a clean exit.
+func TestVettoolProtocol(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the lint binary and runs go vet; skipped in -short")
+	}
+	root := repoRoot(t)
+	bin := buildLint(t, root)
+
+	probe := func(args ...string) (string, error) {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		return string(out), err
+	}
+	id1, err := probe("-V=full")
+	if err != nil || !strings.HasPrefix(id1, "icpp98lint version ") {
+		t.Fatalf("-V=full: %v\n%s", err, id1)
+	}
+	if strings.Contains(id1, "devel") {
+		t.Fatalf("-V=full must not report a devel version (cmd/go then expects a buildID): %q", id1)
+	}
+	if id2, err := probe("-V=full"); err != nil || id2 != id1 {
+		t.Fatalf("-V=full is not stable: %q then %q (%v)", id1, id2, err)
+	}
+	if flags, err := probe("-flags"); err != nil || strings.TrimSpace(flags) != "[]" {
+		t.Fatalf("-flags: %v\n%s", err, flags)
+	}
+	for _, args := range [][]string{nil, {"./..."}} {
+		out, err := probe(args...)
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 1 || !strings.Contains(out, "usage:") {
+			t.Fatalf("icpp98lint %v: want usage and exit 1, got %v\n%s", args, err, out)
+		}
+	}
+
+	vet := exec.Command("go", "vet", "-vettool="+bin, "./internal/core/...", "./internal/heapx/...")
+	vet.Dir = root
+	if out, err := vet.CombinedOutput(); err != nil {
+		t.Fatalf("go vet -vettool: %v\n%s", err, out)
+	}
+}
+
 // TestVettoolRejectsViolation proves the wired-up binary actually fails
 // the build on a seeded violation, with a diagnostic naming the invariant.
 func TestVettoolRejectsViolation(t *testing.T) {
