@@ -123,6 +123,9 @@ func newCluster(t *testing.T, scfg server.Config, ccfg Config) (*Coordinator, st
 func startWorker(t *testing.T, coord *Coordinator, url, name string, slots int) *Worker {
 	t.Helper()
 	w := NewWorker(WorkerConfig{Coordinator: url, Name: name, Slots: slots, Logf: t.Logf})
+	// Read the capacity before the worker can register, or a fast
+	// registration is counted in the baseline and waited for twice.
+	before := coord.Capacity()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -134,7 +137,6 @@ func startWorker(t *testing.T, coord *Coordinator, url, name string, slots int) 
 		cancel()
 		<-done
 	})
-	before := coord.Capacity()
 	waitFor(t, "worker "+name+" to register", func() bool { return coord.Capacity() >= before+slots })
 	return w
 }

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ type releaseGate struct {
 
 	mu      sync.Mutex
 	release chan struct{}
-	started chan struct{}
+	started chan context.Context // receives each solve's context as it starts
 }
 
 func newReleaseGate(name string) *releaseGate {
@@ -50,11 +51,11 @@ func (g *releaseGate) Name() string { return g.name }
 func (g *releaseGate) reset() {
 	g.mu.Lock()
 	g.release = make(chan struct{})
-	g.started = make(chan struct{}, 64)
+	g.started = make(chan context.Context, 64)
 	g.mu.Unlock()
 }
 
-func (g *releaseGate) gates() (release <-chan struct{}, started chan<- struct{}, startedRecv <-chan struct{}) {
+func (g *releaseGate) gates() (release <-chan struct{}, started chan<- context.Context, startedRecv <-chan context.Context) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.release, g.started, g.started
@@ -72,7 +73,7 @@ func (g *releaseGate) releaseAll() {
 
 func (g *releaseGate) Solve(ctx context.Context, m *core.Model, cfg engine.Config) (*core.Result, error) {
 	release, started, _ := g.gates()
-	started <- struct{}{}
+	started <- ctx
 	select {
 	case <-release:
 	case <-ctx.Done():
@@ -85,8 +86,9 @@ func (g *releaseGate) Solve(ctx context.Context, m *core.Model, cfg engine.Confi
 }
 
 var (
-	gateRestart = newReleaseGate("gate-restart")
-	gateExpiry  = newReleaseGate("gate-expiry")
+	gateRestart    = newReleaseGate("gate-restart")
+	gateExpiry     = newReleaseGate("gate-expiry")
+	gateReregister = newReleaseGate("gate-reregister")
 )
 
 // restartTimings keep the failure detector inert (minute-scale lease and
@@ -292,6 +294,100 @@ func TestCoordinatorRestartMidLeaseAdoption(t *testing.T) {
 	}
 	if seen["adopt"] != "adopted" {
 		t.Errorf("adopt span outcome = %q, want %q", seen["adopt"], "adopted")
+	}
+}
+
+// TestAdoptedResultSurvivesSolveEndingMidRegistration pins the worker's
+// side of an adoption racing the end of the solve: the successor adopts
+// the lease on the worker's re-registration, but its answer is held back
+// until the solve has returned and the worker has cancelled the job's
+// context. The worker must still take the answer, move the lease to its
+// fresh identity and deliver the result — not read the cancelled
+// registration as a lost lease and leave the job running until the lease
+// TTL. A decoy registered with the first incarnation makes the stale
+// identity differ from the fresh one the successor hands out, so only a
+// worker that applied the held answer can report under it.
+func TestAdoptedResultSurvivesSolveEndingMidRegistration(t *testing.T) {
+	gateReregister.reset()
+	dir := t.TempDir()
+
+	srv1, coord1, _ := openIncarnation(t, dir, restartTimings())
+	decoy, err := json.Marshal(RegisterRequest{ProtocolVersion: ProtocolVersion, Name: "decoy", Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv1.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/workers/register", bytes.NewReader(decoy)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("decoy registration: got %d", rec.Code)
+	}
+	ts1 := httptest.NewServer(srv1)
+	addr := ts1.Listener.Addr().String()
+	url := "http://" + addr
+	startWorker(t, coord1, url, "survivor", 1)
+
+	id := postJob(t, url, server.SubmitRequest{
+		Graph:  paperGraphJSON(t),
+		System: json.RawMessage(`"ring:3"`),
+		Engine: gateReregister.name,
+	})
+	_, _, started := gateReregister.gates()
+	var solveCtx context.Context
+	select {
+	case solveCtx = <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker never started solving")
+	}
+	ts1.Close()
+
+	srv2, coord2, resumed := openIncarnation(t, dir, restartTimings())
+	if resumed != 1 {
+		t.Fatalf("ResumeRecovered = %d, want 1 (the mid-lease job)", resumed)
+	}
+
+	// The first worker registration reaching the successor is served in
+	// full (the lease is adopted), then the solve is released and the
+	// answer held until the worker has cancelled the solve's context.
+	var held atomic.Bool
+	holder := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/workers/register" || !held.CompareAndSwap(false, true) {
+			srv2.ServeHTTP(w, r)
+			return
+		}
+		answer := httptest.NewRecorder()
+		srv2.ServeHTTP(answer, r)
+		gateReregister.releaseAll()
+		select {
+		case <-solveCtx.Done():
+		case <-time.After(10 * time.Second):
+			t.Error("the solve's context was never cancelled after the release")
+		}
+		for k, v := range answer.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(answer.Code)
+		w.Write(answer.Body.Bytes())
+	})
+	ts2 := httptest.NewUnstartedServer(holder)
+	ts2.Listener.Close()
+	ts2.Listener = relisten(t, addr)
+	ts2.Start()
+	t.Cleanup(func() {
+		gateReregister.releaseAll()
+		ts2.Close()
+		srv2.Close()
+		coord2.Close()
+	})
+
+	st := waitTerminal(t, url, id)
+	if st.State != server.StateDone {
+		t.Fatalf("job state = %s (error %q), want done via the adopted lease", st.State, st.Error)
+	}
+	if !st.Optimal || st.Length != 14 {
+		t.Fatalf("adopted result length=%d optimal=%v, want the paper optimum 14/true", st.Length, st.Optimal)
+	}
+	if h := coord2.Health(); h.Adoptions != 1 || h.Failovers != 0 || h.Dispatched != 0 {
+		t.Fatalf("successor health = %+v; the held registration must re-adopt (no failover, no fresh lease)", h)
 	}
 }
 

@@ -494,8 +494,12 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 				// Re-register presenting the held leases: an adopted lease
 				// keeps solving under the fresh identity the handle now
 				// carries; an abandoned one was already cancelled through
-				// the handle by applyAdoptions.
-				if rerr := w.reregister(jobCtx, wid); rerr != nil || h.isLost() {
+				// the handle by applyAdoptions. The registration runs under
+				// the worker's context, not jobCtx: the solve ending while
+				// it is in flight must not throw away an answer that may
+				// already have adopted the lease.
+				rerr := w.reregister(ctx, wid)
+				if h.isLost() || (rerr != nil && ctx.Err() == nil) {
 					cancelled.Store(true)
 					cancelJob()
 					return

@@ -27,7 +27,7 @@ type Arena struct {
 	free  [][]State // released slabs kept for reuse
 }
 
-// arenaSlabSize is the number of states per slab (~80 KiB at the current
+// arenaSlabSize is the number of states per slab (~48 KiB at the current
 // State size — large enough to amortize, small enough not to hurt tiny
 // solves).
 const arenaSlabSize = 1024

@@ -38,13 +38,42 @@ func BenchmarkSerialAStarSolve(b *testing.B) {
 // construction, isomorphism/equivalence filtering, duplicate detection —
 // performs no heap allocation at all.
 func BenchmarkExpandSteadyState(b *testing.B) {
+	exp, visited, pool := steadyState(b, Options{})
+	discard := func(*State) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exp.Expand(pool[i%len(pool)], visited, discard)
+	}
+}
+
+// TestExpandZeroAlloc is the tier-1 form of BenchmarkExpandSteadyState:
+// CI runs no benchmarks, so the 0 allocs/op claim is checked here.
+func TestExpandZeroAlloc(t *testing.T) {
+	exp, visited, pool := steadyState(t, Options{})
+	discard := func(*State) {}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		exp.Expand(pool[i%len(pool)], visited, discard)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Expand in the duplicate-saturated steady state: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// steadyState builds the duplicate-saturated setup of the expansion
+// benchmarks: an expander over a v=24 §4.1 graph on complete:4, a visited
+// table, and up to 256 states whose children are all already in it.
+func steadyState(tb testing.TB, opt Options) (*Expander, *Visited, []*State) {
+	tb.Helper()
 	g := gen.MustRandom(gen.RandomConfig{V: 24, CCR: 1.0, Seed: 7})
 	m, err := NewModel(g, procgraph.Complete(4))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var stats Stats
-	exp := m.NewExpander(Options{}, &stats)
+	exp := m.NewExpander(opt, &stats)
 	visited := NewVisited()
 	var pool []*State
 	collect := func(c *State) { pool = append(pool, c) }
@@ -53,14 +82,9 @@ func BenchmarkExpandSteadyState(b *testing.B) {
 		exp.Expand(pool[i], visited, collect)
 	}
 	if len(pool) == 0 {
-		b.Fatal("no states to expand")
+		tb.Fatal("no states to expand")
 	}
-	discard := func(*State) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exp.Expand(pool[i%len(pool)], visited, discard)
-	}
+	return exp, visited, pool
 }
 
 // atomicTracer is the shape of solverpool.Progress without the import (the
@@ -101,24 +125,8 @@ func (t *atomicTracer) Gauges() (int32, int32, int64) {
 // from another goroutine. It must still report 0 allocs/op — telemetry's
 // whole design is that the hot path only ever touches atomics.
 func BenchmarkExpandSteadyStateTelemetry(b *testing.B) {
-	g := gen.MustRandom(gen.RandomConfig{V: 24, CCR: 1.0, Seed: 7})
-	m, err := NewModel(g, procgraph.Complete(4))
-	if err != nil {
-		b.Fatal(err)
-	}
 	tracer := &atomicTracer{}
-	var stats Stats
-	exp := m.NewExpander(Options{Tracer: tracer}, &stats)
-	visited := NewVisited()
-	var pool []*State
-	collect := func(c *State) { pool = append(pool, c) }
-	exp.Expand(Root(), visited, collect)
-	for i := 0; i < len(pool) && len(pool) < 256; i++ {
-		exp.Expand(pool[i], visited, collect)
-	}
-	if len(pool) == 0 {
-		b.Fatal("no states to expand")
-	}
+	exp, visited, pool := steadyState(b, Options{Tracer: tracer})
 	stop := obs.StartSampler(context.Background(), tracer, obs.DefaultSampleInterval, obs.NewRing(0))
 	defer stop()
 	discard := func(*State) {}

@@ -108,6 +108,11 @@ func HFuncByName(name string) (HFunc, bool) {
 // emitted (non-pruned, non-duplicate) child — the same set of states the
 // paper's search-tree figures draw. The trace package builds Figure 3/5
 // renderings from these events.
+//
+// The *State pointers a Tracer receives stay valid, and their fields
+// unchanged, after the solve returns: states live in the solve's own arena,
+// which is never handed to a later solve, so a tracer may keep them (the
+// trace package's tree does).
 type Tracer interface {
 	// Expanded is called when s is taken for expansion.
 	Expanded(s *State)
@@ -385,12 +390,12 @@ func (e *Expander) Expand(s *State, visited *Visited, emit func(*State)) int {
 		} else {
 			n = int32(i)
 		}
-		if s.mask.Has(n) {
+		if e.procOf[n] >= 0 {
 			continue
 		}
 		ready := true
 		for _, a := range m.G.Pred(n) {
-			if !s.mask.Has(a.Node) {
+			if e.procOf[a.Node] < 0 {
 				ready = false
 				break
 			}
@@ -403,7 +408,7 @@ func (e *Expander) Expand(s *State, visited *Visited, emit func(*State)) int {
 		// predecessor sets, so every unscheduled member is ready whenever
 		// one is — the check never starves a class).
 		if e.Disable&DisableEquivalentTasks == 0 {
-			if p := m.eqPrev[n]; p >= 0 && !s.mask.Has(p) {
+			if p := m.eqPrev[n]; p >= 0 && e.procOf[p] < 0 {
 				if e.Stats != nil {
 					e.Stats.PrunedEquiv++
 				}
@@ -653,7 +658,6 @@ func (e *Expander) expandNode(s *State, n int32, visited *Visited, emit func(*St
 		*child = State{
 			parent: s,
 			sig:    s.sig ^ sigMix(n, pe, st),
-			mask:   s.mask.With(n),
 			g:      g,
 			h:      h,
 			f:      f,

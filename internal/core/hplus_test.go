@@ -9,6 +9,16 @@ import (
 	"repro/internal/procgraph"
 )
 
+// scheduledSet derives s's scheduled-node set from its parent chain,
+// independently of the expander's scratch.
+func scheduledSet(s *State) Mask {
+	var set Mask
+	for q := s; q.node >= 0; q = q.parent {
+		set.Set(q.node)
+	}
+	return set
+}
+
 // referenceHPlus is hPlus written out as its definition: it walks every
 // scheduled node of the parent s (via its parent chain, independently of the
 // expander's scratch) and every successor not scheduled in the child. O(e)
@@ -18,7 +28,7 @@ func referenceHPlus(m *Model, s *State, n, ft, g, h int32) int32 {
 	if lb := m.staticLB - g; lb > h {
 		h = lb
 	}
-	childMask := s.mask.With(n)
+	childMask := scheduledSet(s).With(n)
 	for _, a := range m.G.Succ(n) {
 		if childMask.Has(a.Node) {
 			continue
@@ -42,21 +52,22 @@ func referenceHPlus(m *Model, s *State, n, ft, g, h int32) int32 {
 
 // referenceCriticalPath is the HLoad critical-path term as first defined:
 // the largest communication-aware earliest start plus sl_min over the
-// nodes ready in s, skipping the node n the child schedules. It scans the
-// ready set from s's mask rather than the expander's scratch, which the
-// fixed-task-order collapse may already have truncated; nodes the
-// equivalence prunings skip share their representative's bound, so the
-// maximum is the same.
+// nodes ready in s, skipping the node n the child schedules. It derives
+// the ready set from s's parent chain rather than the expander's scratch,
+// which the fixed-task-order collapse may already have truncated; nodes
+// the equivalence prunings skip share their representative's bound, so
+// the maximum is the same.
 func referenceCriticalPath(e *Expander, s *State, n int32) int32 {
 	m := e.M
+	scheduled := scheduledSet(s)
 	var cp int32
 	for u := int32(0); int(u) < m.V; u++ {
-		if u == n || s.mask.Has(u) {
+		if u == n || scheduled.Has(u) {
 			continue
 		}
 		ready := true
 		for _, a := range m.G.Pred(u) {
-			ready = ready && s.mask.Has(a.Node)
+			ready = ready && scheduled.Has(a.Node)
 		}
 		if !ready {
 			continue

@@ -8,15 +8,15 @@ import "math/bits"
 const MaskWords = 4
 
 // MaxNodes is the largest task graph the engines accept: the scheduled-set
-// bitset of a search state holds one bit per node. The paper's evaluation
-// tops out at v = 32; the multi-word mask carries the same search to
-// v = 64 * MaskWords.
+// bitset of a bnb search state holds one bit per node (core.State keeps no
+// bitset; the expander derives the set from the parent chain). The paper's
+// evaluation tops out at v = 32; the multi-word mask carries the same
+// search to v = 64 * MaskWords.
 const MaxNodes = MaskWords * 64
 
-// Mask is the scheduled-node set of a search state: bit n is set iff node n
-// is scheduled. It is a fixed-size array, so masks are comparable with ==
-// (the duplicate table and the engines rely on that) and copy by value with
-// no allocation.
+// Mask is a scheduled-node set: bit n is set iff node n is scheduled. It
+// is a fixed-size array, so masks are comparable with == (bnb's duplicate
+// check relies on that) and copy by value with no allocation.
 type Mask [MaskWords]uint64
 
 // Set sets bit n.

@@ -63,7 +63,11 @@ func SolveModel(m *Model, opt Options) (*Result, error) {
 		return goalBest.f
 	}
 	open := NewQueue(opt)
+	if q, ok := open.(*BestFirstQueue); ok {
+		defer q.release()
+	}
 	visited := NewVisited()
+	defer visited.release()
 	emit := func(c *State) {
 		if c.Complete(m) {
 			if goalBest == nil || c.f < goalBest.f {

@@ -403,18 +403,18 @@ func TestVisitedExactness(t *testing.T) {
 		t.Errorf("visited length %d != %d", vt.Len(), len(states))
 	}
 
-	// Forced collisions: states that share a signature and their
-	// (node, PE, start) chain but differ in mask, g or depth are distinct
-	// partial schedules. Both tables must keep every one and count each as
-	// a caught collision — the exact check behind a full 64-bit signature
-	// match reads these fields from the stored state, not from the slot.
+	// Forced collisions: states that share a signature but differ in the
+	// node they schedule, in g or in depth are distinct partial schedules.
+	// Both tables must keep every one and count each as a caught collision
+	// — the exact check behind a full 64-bit signature match reads these
+	// fields from the stored state, not from the slot.
 	const sig = 0x5eed
 	root := Root()
-	base := &State{parent: root, sig: sig, mask: Mask{1}, g: 5, node: 0, proc: 0, start: 0, finish: 5, depth: 1}
+	base := &State{parent: root, sig: sig, g: 5, node: 0, proc: 0, start: 0, finish: 5, depth: 1}
 	variants := map[string]*State{
-		"mask":  {parent: root, sig: sig, mask: Mask{3}, g: 5, node: 0, proc: 0, start: 0, finish: 5, depth: 1},
-		"g":     {parent: root, sig: sig, mask: Mask{1}, g: 6, node: 0, proc: 0, start: 0, finish: 5, depth: 1},
-		"depth": {parent: root, sig: sig, mask: Mask{1}, g: 5, node: 0, proc: 0, start: 0, finish: 5, depth: 2},
+		"set":   {parent: root, sig: sig, g: 5, node: 1, proc: 0, start: 0, finish: 5, depth: 1},
+		"g":     {parent: root, sig: sig, g: 6, node: 0, proc: 0, start: 0, finish: 5, depth: 1},
+		"depth": {parent: root, sig: sig, g: 5, node: 0, proc: 0, start: 0, finish: 5, depth: 2},
 	}
 	for name, other := range variants {
 		vt := NewVisited()

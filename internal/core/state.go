@@ -15,13 +15,17 @@ import (
 // identically. The sig field is an order-independent 64-bit mix of the
 // triples; Visited confirms hash hits exactly.
 //
+// A state does not carry its scheduled-node set: the expander rebuilds it
+// (per node, the assigned PE or -1) from the parent chain it already walks
+// to load the partial schedule, so the set costs no bytes per state and a
+// State is 48 bytes.
+//
 // States are allocated from per-solve Arena slabs (see arena.go), never
 // individually — the expander's hot path performs no heap allocation per
 // child.
 type State struct {
 	parent *State
 	sig    uint64
-	mask   Mask  // bit n set iff node n is scheduled
 	g      int32 // max finish time of scheduled nodes
 	h      int32 // admissible estimate of the remaining schedule length
 	f      int32 // g + h
@@ -58,9 +62,6 @@ func (s *State) Finish() int32 { return s.finish }
 
 // Parent returns the predecessor state (nil for the root).
 func (s *State) Parent() *State { return s.parent }
-
-// Scheduled returns the scheduled-node set of the state.
-func (s *State) Scheduled() Mask { return s.mask }
 
 // Sig returns the order-independent 64-bit signature of the partial
 // schedule, used for duplicate detection and for hash-based state-space
@@ -128,13 +129,15 @@ func sigMix(node, proc, start int32) uint64 {
 }
 
 // sameAssignment reports whether two states with equal signatures really
-// denote the same partial schedule: equal mask, depth and g, then exact
-// comparison of their (node, proc, start) sets. Quadratic in depth, but
-// only runs on 64-bit hash agreement.
+// denote the same partial schedule: equal depth and g, then exact
+// comparison of their (node, proc, start) sets. Every node of a's chain
+// found in b's with the same placement, at equal depth, also makes the
+// scheduled-node sets equal. Quadratic in depth, but only runs on 64-bit
+// hash agreement.
 //
 //icpp98:hotpath
 func sameAssignment(a, b *State) bool {
-	if a.mask != b.mask || a.depth != b.depth || a.g != b.g {
+	if a.depth != b.depth || a.g != b.g {
 		return false
 	}
 	for sa := a; sa != nil && sa.node >= 0; sa = sa.parent {
@@ -165,8 +168,8 @@ func (m *Model) ScheduleOf(s *State) *schedule.Schedule {
 // §3.1). It is an open-addressed hash table of 16-byte slots, each holding
 // a state's 64-bit signature next to the state pointer: a probe resolves on
 // the signature alone for every slot but a full 64-bit match, and only
-// then does the exact verification (sameAssignment: mask, depth and g
-// first, then the parent chains) touch the candidate state's memory. The
+// then does the exact verification (sameAssignment: depth and g first,
+// then the parent chains) touch the candidate state's memory. The
 // table's memory is a single flat slab that grows by doubling; keeping the
 // slots small keeps that slab, its zeroing and its rehash cheap.
 type Visited struct {
@@ -186,8 +189,12 @@ type visEntry struct {
 // visitedMinSize is the initial table capacity (a power of two).
 const visitedMinSize = 1024
 
-// NewVisited returns an empty table.
+// NewVisited returns an empty table, reusing a slot array a finished solve
+// released when one is pooled (see reuse.go).
 func NewVisited() *Visited {
+	if p, ok := visitedSlots.Get().(*[]visEntry); ok {
+		return &Visited{entries: *p}
+	}
 	return &Visited{entries: make([]visEntry, visitedMinSize)}
 }
 

@@ -248,3 +248,31 @@ func TestEmptyRecorder(t *testing.T) {
 		t.Error("WriteDOT on empty trace should error")
 	}
 }
+
+// TestRecordedTreeOutlivesSolve asserts a Recorder's tree still reads the
+// same after ten later solves. The tree holds the solve's *core.State
+// pointers, so the states' arena must not be handed to later solves the
+// way their OPEN and visited buffers are.
+func TestRecordedTreeOutlivesSolve(t *testing.T) {
+	rec, _ := fig3Tree(t)
+	render := func() string {
+		var b strings.Builder
+		if err := rec.WriteASCII(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.WriteDOT(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	before := render()
+	for seed := uint64(1); seed <= 10; seed++ {
+		g := gen.MustRandom(gen.RandomConfig{V: 9, CCR: 1, Seed: seed})
+		if _, err := core.Solve(g, procgraph.Ring(3), core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := render(); after != before {
+		t.Fatalf("recorded tree changed after later solves:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}
