@@ -462,6 +462,13 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 	// 410 for a lease the coordinator already revoked) stops the solve,
 	// which then returns its incumbent within one expansion.
 	var cancelled atomic.Bool
+	// A re-registration the reporter starts runs under regCtx, not jobCtx:
+	// the solve ending while it is in flight must not throw away an answer
+	// that may already have adopted the lease. It outlives the solve by at
+	// most terminalReportTimeout, so an unreachable coordinator cannot
+	// wedge the slot.
+	regCtx, cancelReg := context.WithCancel(ctx)
+	defer cancelReg()
 	reporterDone := make(chan struct{})
 	go func() {
 		defer close(reporterDone)
@@ -494,12 +501,11 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 				// Re-register presenting the held leases: an adopted lease
 				// keeps solving under the fresh identity the handle now
 				// carries; an abandoned one was already cancelled through
-				// the handle by applyAdoptions. The registration runs under
-				// the worker's context, not jobCtx: the solve ending while
-				// it is in flight must not throw away an answer that may
-				// already have adopted the lease.
-				rerr := w.reregister(ctx, wid)
-				if h.isLost() || (rerr != nil && ctx.Err() == nil) {
+				// the handle by applyAdoptions. A registration that failed
+				// only after the solve ended is not a lost lease: finishJob's
+				// own 404 path re-registers and delivers the result.
+				rerr := w.reregister(regCtx, wid)
+				if h.isLost() || (rerr != nil && jobCtx.Err() == nil) {
 					cancelled.Store(true)
 					cancelJob()
 					return
@@ -537,7 +543,9 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 		solve.End("engines", strings.Join(lease.Engines, ","))
 	}
 	cancelJob()
+	stopReg := time.AfterFunc(terminalReportTimeout, cancelReg)
 	<-reporterDone
+	stopReg.Stop()
 
 	switch {
 	case w.killed.Load():

@@ -30,10 +30,7 @@ type BestFirstQueue struct {
 // NewBestFirstQueue returns an empty best-first queue, reusing a heap a
 // finished solve released when one is pooled (see reuse.go).
 func NewBestFirstQueue() *BestFirstQueue {
-	if h, ok := openHeaps.Get().(*heapx.Heap[*State]); ok {
-		return &BestFirstQueue{h: h}
-	}
-	return &BestFirstQueue{h: heapx.NewWithCapacity(Less, 1024)}
+	return &BestFirstQueue{h: takeHeap()}
 }
 
 // Push inserts a state.

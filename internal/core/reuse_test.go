@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"repro/internal/gen"
+	"repro/internal/heapx"
 	"repro/internal/procgraph"
 )
 
@@ -105,4 +106,59 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestVisitedGrowsThroughItsOwnSizes pins the size classes: after a large
+// table has been released, a new table still starts at visitedMinSize and
+// doubles exactly as a freshly allocated one would, so a small solve
+// never takes, nor clears, a larger solve's slot array. Every array the
+// table grew through goes back to its pool empty.
+func TestVisitedGrowsThroughItsOwnSizes(t *testing.T) {
+	putSlots(make([]visEntry, reuseMaxSlots))
+	putSlots(make([]visEntry, 4*visitedMinSize))
+	vt := NewVisited()
+	states := make([]State, 3*visitedMinSize)
+	want := visitedMinSize
+	for i := range states {
+		if vt.n*4 >= want*3 {
+			want *= 2
+		}
+		states[i].sig = uint64(i) * 0x9e3779b97f4a7c15
+		if !vt.Add(&states[i]) {
+			t.Fatalf("state %d rejected as a duplicate", i)
+		}
+		if len(vt.entries) != want {
+			t.Fatalf("after %d inserts the table has %d slots, want %d", i+1, len(vt.entries), want)
+		}
+	}
+	releaseBuffers(NewBestFirstQueue(), vt)
+	for n := visitedMinSize; n <= want; n *= 2 {
+		for i, e := range takeSlots(n) {
+			if e != (visEntry{}) {
+				t.Fatalf("pooled %d-slot array holds a state at slot %d", n, i)
+			}
+		}
+	}
+}
+
+// BenchmarkSmallSolveAfterLarge times a solve of the 9-task paper example
+// right after a solve near the pools' cap has released its buffers: the
+// small solve must cost what it costs alone, not the clearing of the
+// large solve's slot array.
+func BenchmarkSmallSolveAfterLarge(b *testing.B) {
+	m, err := NewModel(gen.PaperExample(), procgraph.Ring(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		large := &BestFirstQueue{h: heapx.NewWithCapacity(Less, reuseMaxSlots)}
+		releaseBuffers(large, &Visited{entries: make([]visEntry, reuseMaxSlots)})
+		b.StartTimer()
+		if _, err := SolveModel(m, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -63,11 +63,8 @@ func SolveModel(m *Model, opt Options) (*Result, error) {
 		return goalBest.f
 	}
 	open := NewQueue(opt)
-	if q, ok := open.(*BestFirstQueue); ok {
-		defer q.release()
-	}
 	visited := NewVisited()
-	defer visited.release()
+	defer releaseBuffers(open, visited)
 	emit := func(c *State) {
 		if c.Complete(m) {
 			if goalBest == nil || c.f < goalBest.f {

@@ -189,13 +189,10 @@ type visEntry struct {
 // visitedMinSize is the initial table capacity (a power of two).
 const visitedMinSize = 1024
 
-// NewVisited returns an empty table, reusing a slot array a finished solve
-// released when one is pooled (see reuse.go).
+// NewVisited returns an empty table. Its slot arrays come from, and on
+// growth go back to, the pools in reuse.go.
 func NewVisited() *Visited {
-	if p, ok := visitedSlots.Get().(*[]visEntry); ok {
-		return &Visited{entries: *p}
-	}
-	return &Visited{entries: make([]visEntry, visitedMinSize)}
+	return &Visited{entries: takeSlots(visitedMinSize)}
 }
 
 // visInsert is the one probe-and-insert implementation every visited table
@@ -230,7 +227,14 @@ func visInsert(entries []visEntry, s *State) (inserted bool, collisions int64) {
 //
 //icpp98:hotpath
 func visGrow(old []visEntry) []visEntry {
-	grown := make([]visEntry, len(old)*2) //icpp98:allow hotpath doubling growth; amortized O(1) per insert
+	return visRehash(old, make([]visEntry, len(old)*2)) //icpp98:allow hotpath doubling growth; amortized O(1) per insert
+}
+
+// visRehash reinserts every occupied entry of old into the empty, larger
+// table grown and returns grown.
+//
+//icpp98:hotpath
+func visRehash(old, grown []visEntry) []visEntry {
 	for i := range old {
 		e := &old[i]
 		if e.st == nil {
@@ -251,7 +255,7 @@ func visGrow(old []visEntry) []visEntry {
 //icpp98:hotpath
 func (vt *Visited) Add(s *State) bool {
 	if vt.n*4 >= len(vt.entries)*3 {
-		vt.entries = visGrow(vt.entries)
+		vt.grow() //icpp98:allow hotpath doubling growth through the slot pools; amortized O(1) per insert
 	}
 	inserted, collisions := visInsert(vt.entries, s)
 	vt.Collisions += collisions
