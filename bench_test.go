@@ -79,7 +79,7 @@ func BenchmarkTable1_ChenBnB(b *testing.B) {
 			g, sys := benchInstance(ccr, 10)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := bnb.Solve(g, sys, bnb.Options{})
+				res, err := bnb.Solve(g, sys, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -164,7 +164,7 @@ func BenchmarkFigure7_EpsilonParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := parallel.Solve(g, sys, parallel.Options{PPEs: 4, Epsilon: eps})
+				res, err := parallel.Solve(g, sys, parallel.Options{Options: core.Options{Epsilon: eps}, PPEs: 4})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -32,24 +32,6 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// Options configures a solve.
-type Options struct {
-	// Stop, when non-nil, is polled once per expansion; returning true
-	// aborts the search, which returns the best schedule found so far
-	// (Optimal=false), or nil Schedule if none was reached. See
-	// core.Options.Stop — the shared budget checker of internal/engine is
-	// the canonical implementation.
-	Stop func(expanded int64) bool
-}
-
-// Result mirrors core.Result for the baseline engine.
-type Result struct {
-	Schedule *schedule.Schedule
-	Length   int32
-	Optimal  bool
-	Stats    core.Stats
-}
-
 type state struct {
 	parent *state
 	sig    uint64
@@ -64,7 +46,7 @@ type state struct {
 }
 
 // Solve runs the baseline to optimality (unless cut off).
-func Solve(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*Result, error) {
+func Solve(g *taskgraph.Graph, sys *procgraph.System, opt core.Options) (*core.Result, error) {
 	m, err := core.NewModel(g, sys)
 	if err != nil {
 		return nil, err
@@ -74,9 +56,16 @@ func Solve(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*Result, err
 
 // SolveModel is Solve for a prebuilt model (the engine reads only the
 // model's graph and system; its cost function is deliberately its own).
-func SolveModel(m *core.Model, opt Options) (*Result, error) {
+// Of opt it reads only Stop: the baseline applies none of the §3.2
+// prunings, keeps its own bound, and runs exact. A search cut off before
+// its first complete schedule returns the list-scheduling fallback.
+func SolveModel(m *core.Model, opt core.Options) (*core.Result, error) {
 	g, sys := m.G, m.Sys
 	started := time.Now()
+	_, fallback, err := core.ResolveUpperBound(m, opt)
+	if err != nil {
+		return nil, err
+	}
 	e := &engine{
 		g: g, sys: sys,
 		v: g.NumNodes(), p: sys.NumProcs(),
@@ -114,7 +103,7 @@ func SolveModel(m *core.Model, opt Options) (*Result, error) {
 
 	root := &state{node: -1, proc: -1}
 	e.expand(root, goalBest, emit)
-	optimal := true
+	proved := true
 	for open.Len() > 0 {
 		if open.Len() > e.stats.MaxOpen {
 			e.stats.MaxOpen = open.Len()
@@ -124,22 +113,18 @@ func SolveModel(m *core.Model, opt Options) (*Result, error) {
 			break
 		}
 		if opt.Stop != nil && opt.Stop(e.stats.Expanded) {
-			optimal = false
+			proved = false
 			break
 		}
 		open.Pop()
 		e.expand(s, goalBest, emit)
 	}
 
-	res := &Result{Optimal: optimal, Stats: e.stats}
+	var best *schedule.Schedule
 	if goalBest != nil {
-		res.Schedule = e.scheduleOf(goalBest)
-		res.Length = goalBest.f
-	} else {
-		res.Optimal = false
+		best = e.scheduleOf(goalBest)
 	}
-	res.Stats.WallTime = time.Since(started)
-	return res, nil
+	return core.Certify(best, fallback, proved, true, 0, e.stats, started), nil
 }
 
 type engine struct {

@@ -15,7 +15,7 @@ import (
 func TestPaperExample(t *testing.T) {
 	g := gen.PaperExample()
 	sys := procgraph.Ring(3)
-	res, err := Solve(g, sys, Options{})
+	res, err := Solve(g, sys, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestMatchesAStar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Solve(g, sys, Options{})
+			b, err := Solve(g, sys, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestMatchesBruteForceQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Solve(g, sys, Options{})
+		got, err := Solve(g, sys, core.Options{})
 		if err != nil {
 			return false
 		}
@@ -79,7 +79,7 @@ func TestMatchesBruteForceQuick(t *testing.T) {
 func TestCutoff(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 16, CCR: 1.0, Seed: 5})
 	sys := procgraph.Complete(4)
-	res, err := Solve(g, sys, Options{Stop: func(expanded int64) bool { return expanded >= 50 }})
+	res, err := Solve(g, sys, core.Options{Stop: func(expanded int64) bool { return expanded >= 50 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCostFunctionIsSlowerPerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, sys, Options{Stop: budget})
+	b, err := Solve(g, sys, core.Options{Stop: budget})
 	if err != nil {
 		t.Fatal(err)
 	}

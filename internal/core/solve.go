@@ -83,7 +83,6 @@ func SolveModel(m *Model, opt Options) (*Result, error) {
 
 	exp.Expand(Root(), visited, emit)
 	proved := false
-	cutOff := false
 	for {
 		if open.Len() > stats.MaxOpen {
 			stats.MaxOpen = open.Len()
@@ -98,7 +97,6 @@ func SolveModel(m *Model, opt Options) (*Result, error) {
 			break
 		}
 		if opt.Stop != nil && opt.Stop(stats.Expanded) {
-			cutOff = true
 			break
 		}
 		s := open.Pop()
@@ -110,33 +108,42 @@ func SolveModel(m *Model, opt Options) (*Result, error) {
 	}
 	stats.VisitedSize = visited.Len()
 
-	res := &Result{Stats: stats}
-	switch {
-	case goalBest != nil:
-		res.Schedule = m.ScheduleOf(goalBest)
-		res.Length = goalBest.f
-		if proved && !cutOff {
-			// An Aε* result is still provably optimal when it meets the
-			// final admissible lower bound exactly (or exhausted OPEN); a
-			// proven-optimal result reports the exact guarantee, not the
-			// looser ε bound it happened to search under.
-			fmin, ok := open.MinF()
-			res.Optimal = opt.Epsilon == 0 || !ok || goalBest.f <= fmin
-			if res.Optimal {
-				res.BoundFactor = 1
-			} else {
-				res.BoundFactor = 1 + opt.Epsilon
-			}
+	var best *schedule.Schedule
+	exact := false
+	if goalBest != nil {
+		best = m.ScheduleOf(goalBest)
+		// An Aε* result is still exact when it meets the final admissible
+		// lower bound (or OPEN is exhausted).
+		fmin, ok := open.MinF()
+		exact = !ok || goalBest.f <= fmin
+	}
+	return Certify(best, fallback, proved, exact, opt.Epsilon, stats, started), nil
+}
+
+// Certify turns the end of a search into its Result; every engine builds
+// its Result here, so Optimal ⇔ BoundFactor == 1 holds in one place.
+//
+// best is the best complete schedule the search found, or nil. Without one
+// the list-scheduling fallback is returned with no guarantee, so a cut-off
+// search still yields a feasible schedule. proved reports that the search
+// ended with a certificate rather than a cutoff; exact that the certificate
+// is optimality rather than only the (1+eps) bound the search ran under. A
+// proven-optimal result reports BoundFactor 1, never the looser 1+eps.
+func Certify(best, fallback *schedule.Schedule, proved, exact bool, eps float64, stats Stats, started time.Time) *Result {
+	res := &Result{Schedule: best, Stats: stats}
+	if best == nil {
+		res.Schedule, proved = fallback, false
+	}
+	res.Length = res.Schedule.Length
+	if proved {
+		res.Optimal = exact || eps == 0
+		res.BoundFactor = 1 + eps
+		if res.Optimal {
+			res.BoundFactor = 1
 		}
-	default:
-		// Cut off before any complete schedule was generated; fall back to
-		// the list-scheduling heuristic so the caller always gets a feasible
-		// schedule.
-		res.Schedule = fallback
-		res.Length = fallback.Length
 	}
 	res.Stats.WallTime = time.Since(started)
-	return res, nil
+	return res
 }
 
 // ResolveUpperBound computes the §3.2 upper bound U via the linear-time list

@@ -36,23 +36,16 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// Options configures the depth-first engines.
+// Options configures the depth-first engines: the shared search settings
+// plus the DFBB duplicate table. Epsilon is ignored (both engines are
+// exact), and so is Tracer: each DFS frame rewinds its arena on return,
+// which would corrupt a tracer that keeps the states it is handed.
 type Options struct {
-	// Disable switches off §3.2 prunings, as in the serial A* engine.
-	Disable core.Disable
-	// HFunc selects the heuristic function (default: the paper's).
-	HFunc core.HFunc
-	// UpperBound, when > 0, overrides the list-scheduling upper bound U.
-	UpperBound int32
+	core.Options
 	// UseVisited enables the full duplicate-state table (DFBB only):
 	// memory proportional to the states generated, bought back as time —
 	// the inverse of the engines' usual trade. IDA* ignores it.
 	UseVisited bool
-	// Stop, when non-nil, is polled once per expansion; returning true
-	// aborts the search, which returns the incumbent (Optimal=false). See
-	// core.Options.Stop — the shared budget checker of internal/engine is
-	// the canonical implementation.
-	Stop func(expanded int64) bool
 }
 
 const inf = int32(1) << 30
@@ -70,11 +63,11 @@ func Solve(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*core.Result
 
 // SolveModel is Solve for a prebuilt model.
 func SolveModel(m *core.Model, opt Options) (*core.Result, error) {
-	d, fallback, err := newSearcher(m, opt)
+	started := time.Now()
+	d, fallback, err := newSearcher(m, opt.Options)
 	if err != nil {
 		return nil, err
 	}
-	started := time.Now()
 	if opt.UseVisited {
 		d.visited = core.NewVisited()
 	}
@@ -110,7 +103,8 @@ type searcher struct {
 	children []*core.State // reusable collection buffer
 }
 
-func newSearcher(m *core.Model, opt Options) (*searcher, *core.Result, error) {
+func newSearcher(m *core.Model, opt core.Options) (*searcher, *schedule.Schedule, error) {
+	opt.Tracer = nil // see Options
 	d := &searcher{
 		m:            m,
 		incumbentLen: inf,
@@ -118,10 +112,7 @@ func newSearcher(m *core.Model, opt Options) (*searcher, *core.Result, error) {
 		nextThresh:   inf,
 		stop:         opt.Stop,
 	}
-	ub, fallbackSched, err := core.ResolveUpperBound(m, core.Options{
-		Disable:    opt.Disable,
-		UpperBound: opt.UpperBound,
-	})
+	ub, fallback, err := core.ResolveUpperBound(m, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -130,7 +121,7 @@ func newSearcher(m *core.Model, opt Options) (*searcher, *core.Result, error) {
 	}
 	d.stats.UpperBound = ub
 	d.stats.StaticLB = m.StaticLowerBound()
-	d.exp = m.NewExpander(core.Options{Disable: opt.Disable, HFunc: opt.HFunc}, &d.stats)
+	d.exp = m.NewExpander(opt, &d.stats)
 	// The incumbent bound subsumes the static U prune (it starts at U), so
 	// the expander's separate UB check stays off and all pruning is counted
 	// under PrunedBound.
@@ -140,11 +131,7 @@ func newSearcher(m *core.Model, opt Options) (*searcher, *core.Result, error) {
 		}
 		return d.incumbentLen
 	}
-	fb := &core.Result{Schedule: fallbackSched}
-	if fallbackSched != nil {
-		fb.Length = fallbackSched.Length
-	}
-	return d, fb, nil
+	return d, fallback, nil
 }
 
 // cut reports whether the caller-supplied cutoff has fired (and latches it).
@@ -218,25 +205,14 @@ func (d *searcher) dfs(s *core.State, depth int) {
 	}
 }
 
-// result assembles the engine outcome: the incumbent when one was found, or
-// the list-scheduling fallback otherwise (which, when the search exhausted
-// without beating U, is itself proven optimal).
-func (d *searcher) result(fallback *core.Result, started time.Time) *core.Result {
-	res := &core.Result{Stats: d.stats}
-	switch {
-	case d.incumbent != nil:
-		res.Schedule = d.incumbent
-		res.Length = d.incumbentLen
-	default:
-		res.Schedule = fallback.Schedule
-		res.Length = fallback.Length
+// result certifies the engine outcome: the incumbent when one was found.
+// A search that exhausted without beating U proves the list-scheduling
+// fallback optimal when the fallback realizes U, which it does unless the
+// caller overrode U with a smaller bound.
+func (d *searcher) result(fallback *schedule.Schedule, started time.Time) *core.Result {
+	best := d.incumbent
+	if best == nil && !d.stopped && fallback.Length <= d.stats.UpperBound {
+		best = fallback
 	}
-	if !d.stopped && res.Schedule != nil {
-		// Exhausted: nothing with f < incumbentLen remains, so the returned
-		// schedule (incumbent or the U-length fallback) is optimal.
-		res.Optimal = true
-		res.BoundFactor = 1
-	}
-	res.Stats.WallTime = time.Since(started)
-	return res
+	return core.Certify(best, fallback, !d.stopped, true, 0, d.stats, started)
 }

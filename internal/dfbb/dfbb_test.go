@@ -179,7 +179,7 @@ func TestDFBBPruningTogglesPreserveOptimum(t *testing.T) {
 		core.DisablePriorityOrder,
 		core.DisableAllPruning,
 	} {
-		got, err := Solve(g, sys, Options{Disable: dis})
+		got, err := Solve(g, sys, Options{Options: core.Options{Disable: dis}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,11 +195,11 @@ func TestDFBBPruningTogglesPreserveOptimum(t *testing.T) {
 func TestDFBBHPlus(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 10, CCR: 10.0, Seed: 3})
 	sys := procgraph.Complete(3)
-	paper, err := Solve(g, sys, Options{HFunc: core.HPaper})
+	paper, err := Solve(g, sys, Options{Options: core.Options{HFunc: core.HPaper}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plus, err := Solve(g, sys, Options{HFunc: core.HPlus})
+	plus, err := Solve(g, sys, Options{Options: core.Options{HFunc: core.HPlus}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestDFBBHPlus(t *testing.T) {
 func TestDFBBCutoffReturnsFeasible(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 12, CCR: 10.0, Seed: 8})
 	sys := procgraph.Complete(4)
-	res, err := Solve(g, sys, Options{Stop: func(expanded int64) bool { return expanded >= 1 }})
+	res, err := Solve(g, sys, Options{Options: core.Options{Stop: func(expanded int64) bool { return expanded >= 1 }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestDFBBDeadlineCutoff(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 12, CCR: 10.0, Seed: 9})
 	sys := procgraph.Complete(4)
 	deadline := time.Now().Add(-time.Second)
-	res, err := Solve(g, sys, Options{Stop: func(int64) bool { return time.Now().After(deadline) }})
+	res, err := Solve(g, sys, Options{Options: core.Options{Stop: func(int64) bool { return time.Now().After(deadline) }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,5 +319,30 @@ func TestDFBBRejectsBadInstances(t *testing.T) {
 	}
 	if _, err := SolveIDA(g, procgraph.Complete(2), Options{}); err == nil {
 		t.Error("expected error for oversized graph (IDA*)")
+	}
+}
+
+// TestUpperBoundBelowOptimumUncertified asserts that a caller-supplied U
+// below the optimum leaves nothing proven: both engines exhaust the space
+// without an incumbent, and the list-scheduling fallback (length 137, where
+// the optimum is 101) is returned without a certificate.
+func TestUpperBoundBelowOptimumUncertified(t *testing.T) {
+	g := gen.MustRandom(gen.RandomConfig{V: 7, CCR: 1.0, Seed: 6})
+	sys := procgraph.Ring(3)
+	opt := Options{Options: core.Options{UpperBound: 90}}
+	for name, solve := range map[string]func() (*core.Result, error){
+		"dfbb": func() (*core.Result, error) { return Solve(g, sys, opt) },
+		"ida":  func() (*core.Result, error) { return SolveIDA(g, sys, opt) },
+	} {
+		res, err := solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Optimal || res.BoundFactor != 0 {
+			t.Errorf("%s: length %d under U=90 claims optimal=%v bound %g", name, res.Length, res.Optimal, res.BoundFactor)
+		}
+		if err := res.Schedule.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

@@ -30,11 +30,11 @@ func SolveIDA(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*core.Res
 
 // SolveIDAModel is SolveIDA for a prebuilt model.
 func SolveIDAModel(m *core.Model, opt Options) (*core.Result, error) {
-	d, fallback, err := newSearcher(m, opt)
+	started := time.Now()
+	d, fallback, err := newSearcher(m, opt.Options)
 	if err != nil {
 		return nil, err
 	}
-	started := time.Now()
 
 	d.threshold = m.StaticLowerBound()
 	if d.threshold < 1 {

@@ -61,10 +61,12 @@ type Config struct {
 	// Disable switches off individual §3.2 prunings (engines: all but bnb,
 	// which never applies them).
 	Disable core.Disable
-	// Epsilon > 0 selects the bounded-suboptimal Aε* search (§3.4) on the
-	// engines that support it (aeps, parallel); the result is within
-	// (1+Epsilon) of optimal. The astar engine is exact by contract and
-	// ignores it — use aeps for a bounded search.
+	// Epsilon is the ε of the bounded-suboptimal Aε* search (§3.4): a
+	// result is within (1+Epsilon) of optimal. The registry pairs astar/aeps
+	// and native/native-eps each run one search and differ only in their ε
+	// rule: astar and native are exact and ignore Epsilon; aeps and
+	// native-eps use it, and <= 0 selects 0.2. parallel uses it as given
+	// (0 is exact); dfbb, ida and bnb are exact and ignore it.
 	Epsilon float64
 	// HFunc selects the heuristic function (all but bnb).
 	HFunc core.HFunc

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bnb"
 	"repro/internal/core"
 	"repro/internal/dfbb"
-	"repro/internal/listsched"
 	"repro/internal/native"
 	"repro/internal/parallel"
 )
@@ -16,7 +15,10 @@ type funcEngine struct {
 	name    string
 	section string
 	desc    string
-	solve   func(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error)
+	// epsilon, when non-nil, decides from cfg.Epsilon the ε the engine
+	// searches under; nil passes cfg.Epsilon through.
+	epsilon func(cfgEpsilon float64) float64
+	solve   func(m *core.Model, opt core.Options, cfg Config) (*core.Result, error)
 }
 
 func (e *funcEngine) Name() string { return e.name }
@@ -24,12 +26,17 @@ func (e *funcEngine) Name() string { return e.name }
 func (e *funcEngine) Describe() (string, string) { return e.section, e.desc }
 
 func (e *funcEngine) Solve(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
-	return e.solve(ctx, m, cfg)
+	opt := searchOptions(ctx, cfg)
+	if e.epsilon != nil {
+		opt.Epsilon = e.epsilon(cfg.Epsilon)
+	}
+	return e.solve(m, opt, cfg)
 }
 
-// coreOptions translates the unified Config into the serial engine's
-// options, wiring in the shared budget checker.
-func coreOptions(ctx context.Context, cfg Config) core.Options {
+// searchOptions builds from cfg the search settings every engine shares,
+// with the budget checker wired in as Stop. Each engine reads the fields
+// it has a use for (see Config).
+func searchOptions(ctx context.Context, cfg Config) core.Options {
 	return core.Options{
 		Disable:    cfg.Disable,
 		Epsilon:    cfg.Epsilon,
@@ -40,28 +47,23 @@ func coreOptions(ctx context.Context, cfg Config) core.Options {
 	}
 }
 
-// nativeOptions translates the unified Config into the work-stealing
-// engine's options, wiring in the shared budget checker.
-func nativeOptions(ctx context.Context, cfg Config) native.Options {
-	return native.Options{
-		Workers:    cfg.Workers,
-		Epsilon:    cfg.Epsilon,
-		Disable:    cfg.Disable,
-		HFunc:      cfg.HFunc,
-		UpperBound: cfg.UpperBound,
-		Stop:       cfg.stopFunc(ctx),
-		TracerFor:  cfg.TracerFor,
+// The ε rules of the exact/ε registry pairs (astar/aeps, native/native-eps):
+// the exact name never searches under ε, and the ε name defaults it.
+func exactSearch(float64) float64 { return 0 }
+
+func boundedSearch(eps float64) float64 {
+	if eps <= 0 {
+		return 0.2
 	}
+	return eps
 }
 
-func depthFirstOptions(ctx context.Context, cfg Config) dfbb.Options {
-	return dfbb.Options{
-		Disable:    cfg.Disable,
-		HFunc:      cfg.HFunc,
-		UpperBound: cfg.UpperBound,
-		UseVisited: cfg.UseVisited,
-		Stop:       cfg.stopFunc(ctx),
-	}
+func solveAStar(m *core.Model, opt core.Options, _ Config) (*core.Result, error) {
+	return core.SolveModel(m, opt)
+}
+
+func solveNative(m *core.Model, opt core.Options, cfg Config) (*core.Result, error) {
+	return native.Solve(m, native.Options{Options: opt, Workers: cfg.Workers, TracerFor: cfg.TracerFor})
 }
 
 func init() {
@@ -69,113 +71,70 @@ func init() {
 		name:    "astar",
 		section: "§3.1–3.2",
 		desc:    "serial A*: optimal, all prunings, memory grows with generated states",
-		solve: func(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
-			opt := coreOptions(ctx, cfg)
-			opt.Epsilon = 0 // exact search; "aeps" is the ε variant
-			return core.SolveModel(m, opt)
-		},
+		epsilon: exactSearch,
+		solve:   solveAStar,
 	})
 	Register(&funcEngine{
 		name:    "aeps",
 		section: "§3.4",
 		desc:    "serial Aε*: within (1+ε) of optimal (default ε 0.2), FOCAL-list search",
-		solve: func(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
-			opt := coreOptions(ctx, cfg)
-			if opt.Epsilon <= 0 {
-				opt.Epsilon = 0.2
-			}
-			return core.SolveModel(m, opt)
-		},
+		epsilon: boundedSearch,
+		solve:   solveAStar,
 	})
 	Register(&funcEngine{
 		name:    "dfbb",
 		section: "§1 (memory)",
 		desc:    "depth-first branch-and-bound: optimal, O(v) retained states",
-		solve: func(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
-			return dfbb.SolveModel(m, depthFirstOptions(ctx, cfg))
+		solve: func(m *core.Model, opt core.Options, cfg Config) (*core.Result, error) {
+			return dfbb.SolveModel(m, dfbb.Options{Options: opt, UseVisited: cfg.UseVisited})
 		},
 	})
 	Register(&funcEngine{
 		name:    "ida",
 		section: "§1 (memory)",
 		desc:    "iterative-deepening A*: optimal, no OPEN/CLOSED lists at all",
-		solve: func(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
-			return dfbb.SolveIDAModel(m, depthFirstOptions(ctx, cfg))
+		solve: func(m *core.Model, opt core.Options, _ Config) (*core.Result, error) {
+			return dfbb.SolveIDAModel(m, dfbb.Options{Options: opt})
 		},
 	})
 	Register(&funcEngine{
 		name:    "bnb",
 		section: "§2, §4.2",
 		desc:    "Chen & Yu branch-and-bound baseline: optimal, expensive per-state bound",
-		solve: func(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
-			r, err := bnb.SolveModel(m, bnb.Options{Stop: cfg.stopFunc(ctx)})
-			if err != nil {
-				return nil, err
-			}
-			res := &core.Result{
-				Schedule: r.Schedule,
-				Length:   r.Length,
-				Optimal:  r.Optimal,
-				Stats:    r.Stats,
-			}
-			if r.Optimal {
-				res.BoundFactor = 1
-			}
-			if res.Schedule == nil {
-				// Cut off before the first complete schedule: honour the
-				// Engine contract (best incumbent or the list-scheduling
-				// fallback, never a nil schedule) like the other engines do.
-				s, err := listsched.Schedule(m.G, m.Sys, listsched.Options{Priority: listsched.PriorityBLevel})
-				if err != nil {
-					return nil, err
-				}
-				res.Schedule, res.Length, res.Optimal, res.BoundFactor = s, s.Length, false, 0
-			}
-			return res, nil
+		solve: func(m *core.Model, opt core.Options, _ Config) (*core.Result, error) {
+			return bnb.SolveModel(m, opt)
 		},
 	})
 	Register(&funcEngine{
 		name:    "native",
 		section: "§4.4 (multi-core)",
 		desc:    "work-stealing multi-core A*: optimal, global sharded dedup, scales with real cores",
-		solve: func(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
-			opt := nativeOptions(ctx, cfg)
-			opt.Epsilon = 0 // exact search; "native-eps" is the ε variant
-			return native.Solve(m, opt)
-		},
+		epsilon: exactSearch,
+		solve:   solveNative,
 	})
 	Register(&funcEngine{
 		name:    "native-eps",
 		section: "§4.4 (multi-core)",
 		desc:    "work-stealing multi-core Aε*: within (1+ε) of optimal (default ε 0.2)",
-		solve: func(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
-			opt := nativeOptions(ctx, cfg)
-			if opt.Epsilon <= 0 {
-				opt.Epsilon = 0.2
-			}
-			return native.Solve(m, opt)
-		},
+		epsilon: boundedSearch,
+		solve:   solveNative,
 	})
 	Register(&funcEngine{
 		name:    "parallel",
 		section: "§3.3, §4.4",
 		desc:    "bulk-synchronous parallel A*/Aε* on q PPE workers (default 4)",
-		solve: func(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
+		solve: func(m *core.Model, opt core.Options, cfg Config) (*core.Result, error) {
 			ppes := cfg.PPEs
 			if ppes < 1 {
 				ppes = 4
 			}
 			return parallel.SolveModel(m, parallel.Options{
+				Options:      opt,
 				PPEs:         ppes,
 				Interconnect: cfg.Interconnect,
-				Epsilon:      cfg.Epsilon,
-				Disable:      cfg.Disable,
-				HFunc:        cfg.HFunc,
-				UpperBound:   cfg.UpperBound,
 				PeriodFloor:  cfg.PeriodFloor,
 				Distribution: cfg.Distribution,
 				TracerFor:    cfg.TracerFor,
-				Stop:         cfg.stopFunc(ctx),
 			})
 		},
 	})

@@ -57,26 +57,16 @@ import (
 	"repro/internal/schedule"
 )
 
-// Options configures a native solve.
+// Options configures a native solve: the shared search settings (every
+// worker polls Stop before each expansion with the machine-wide total)
+// plus the worker count and the per-worker tracers. The shared Tracer is
+// ignored: the workers run concurrently, so each gets its own from
+// TracerFor.
 type Options struct {
+	core.Options
 	// Workers is the number of search workers; < 1 selects GOMAXPROCS, and
 	// values above maxWorkers (256) are clamped.
 	Workers int
-	// Epsilon > 0 runs the ε-admissible variant: the result is within
-	// (1+Epsilon) of optimal, and the search may stop (and discard states)
-	// as soon as that bound is proven.
-	Epsilon float64
-	// Disable switches off §3.2 prunings, as in the serial engine.
-	Disable core.Disable
-	// HFunc selects the heuristic function.
-	HFunc core.HFunc
-	// UpperBound overrides the list-scheduling upper bound U when > 0.
-	UpperBound int32
-	// Stop, when non-nil, is polled by every worker before each expansion
-	// with the machine-wide expansion total; returning true cuts the search
-	// off. The shared budget checker of internal/engine is the canonical
-	// implementation.
-	Stop func(expanded int64) bool
 	// TracerFor, when non-nil, supplies one core.Tracer per worker.
 	TracerFor func(worker int) core.Tracer
 }
@@ -121,7 +111,6 @@ type worker struct {
 type solver struct {
 	m       *core.Model
 	opt     Options
-	eps     float64
 	workers []*worker
 	visited *core.SharedVisited
 
@@ -148,9 +137,7 @@ func Solve(m *core.Model, opt Options) (*core.Result, error) {
 		return nil, err
 	}
 	sv.run()
-	res := sv.result(fallback)
-	res.Stats.WallTime = time.Since(started)
-	return res, nil
+	return sv.result(fallback, started), nil
 }
 
 // newSolver builds the workers, the sharded visited table, and the seed
@@ -163,28 +150,22 @@ func newSolver(m *core.Model, opt Options) (*solver, *schedule.Schedule, error) 
 	if opt.Workers > maxWorkers {
 		opt.Workers = maxWorkers
 	}
-	coreOpt := core.Options{
-		Disable:    opt.Disable,
-		Epsilon:    opt.Epsilon,
-		HFunc:      opt.HFunc,
-		UpperBound: opt.UpperBound,
-	}
-	ub, fallback, err := core.ResolveUpperBound(m, coreOpt)
+	opt.Tracer = nil // see Options
+	ub, fallback, err := core.ResolveUpperBound(m, opt.Options)
 	if err != nil {
 		return nil, nil, err
 	}
 	sv := &solver{
 		m:       m,
 		opt:     opt,
-		eps:     opt.Epsilon,
 		workers: make([]*worker, opt.Workers),
 		visited: core.NewSharedVisited(0),
 	}
 	for i := range sv.workers {
-		w := &worker{id: i, s: sv, open: core.NewQueue(coreOpt)}
+		w := &worker{id: i, s: sv, open: core.NewQueue(opt.Options)}
 		w.qmin.Store(noWork)
 		w.infl.Store(noWork)
-		w.exp = m.NewExpander(coreOpt, &w.stats)
+		w.exp = m.NewExpander(opt.Options, &w.stats)
 		w.exp.UB = ub
 		w.exp.Bound = func() int32 { return sv.bound.Load() }
 		if opt.TracerFor != nil {
@@ -222,8 +203,11 @@ func (s *solver) run() {
 	wg.Wait()
 }
 
-// result assembles the merged Result after every worker has joined.
-func (s *solver) result(fallback *schedule.Schedule) *core.Result {
+// result certifies the merged Result after every worker has joined.
+// approxCut records that some state whose f was below the incumbent was
+// discarded under the ε margin; without it the space was exhausted (or LB
+// reached the incumbent) and the result is exactly optimal.
+func (s *solver) result(fallback *schedule.Schedule, started time.Time) *core.Result {
 	var stats core.Stats
 	for _, w := range s.workers {
 		w.stats.MaxOpen = w.maxOpen
@@ -233,28 +217,12 @@ func (s *solver) result(fallback *schedule.Schedule) *core.Result {
 	stats.UpperBound = s.workers[0].exp.UB
 	stats.StaticLB = s.m.StaticLowerBound()
 
-	res := &core.Result{Stats: stats}
-	proved := s.proved.Load() && !s.cutOff.Load()
+	var best *schedule.Schedule
 	if s.incumbnt != nil {
-		res.Schedule = s.m.ScheduleOf(s.incumbnt)
-		res.Length = s.incumbnt.F()
-		if proved {
-			// approxCut records that some state whose f was below the
-			// incumbent was discarded under the ε margin; without it the
-			// space was exhausted (or LB reached the incumbent) and the
-			// result is exactly optimal, never the looser searched-under ε.
-			res.Optimal = !s.approxCut.Load()
-			if res.Optimal {
-				res.BoundFactor = 1
-			} else {
-				res.BoundFactor = 1 + s.eps
-			}
-		}
-	} else {
-		res.Schedule = fallback
-		res.Length = fallback.Length
+		best = s.m.ScheduleOf(s.incumbnt)
 	}
-	return res
+	proved := s.proved.Load() && !s.cutOff.Load()
+	return core.Certify(best, fallback, proved, !s.approxCut.Load(), s.opt.Epsilon, stats, started)
 }
 
 // offerIncumbent installs c as the shared incumbent when it improves on the
@@ -305,7 +273,7 @@ func (s *solver) checkProof() {
 		return
 	}
 	lb := s.globalLB()
-	if float64(b) <= (1+s.eps)*float64(lb) {
+	if float64(b) <= (1+s.opt.Epsilon)*float64(lb) {
 		if lb < b {
 			// Live states cheaper than the incumbent are being abandoned:
 			// the certificate is the ε bound, not exact optimality.
@@ -461,7 +429,7 @@ func (w *worker) run() {
 		}
 		// Prune at pop: once the incumbent is within the margin of this
 		// state's f, its subtree cannot improve the guarantee.
-		if b := s.bound.Load(); b > 0 && float64(b) <= (1+s.eps)*float64(st.F()) {
+		if b := s.bound.Load(); b > 0 && float64(b) <= (1+s.opt.Epsilon)*float64(st.F()) {
 			if st.F() < b {
 				s.approxCut.Store(true)
 			}

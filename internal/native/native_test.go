@@ -75,7 +75,7 @@ func TestNativeEpsilonBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := solveSerial(t, m)
-		res, err := Solve(m, Options{Workers: 4, Epsilon: 0.2})
+		res, err := Solve(m, Options{Options: core.Options{Epsilon: 0.2}, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,13 +102,11 @@ func TestNativeCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cut atomic.Bool
-	opt := Options{
-		Workers: 4,
-		Stop: func(expanded int64) bool {
-			// Cut off mid-search: after real work has happened but long
-			// before a v=24 proof is plausible.
-			return cut.Load() || expanded > 3000
-		},
+	opt := Options{Workers: 4}
+	opt.Stop = func(expanded int64) bool {
+		// Cut off mid-search: after real work has happened but long
+		// before a v=24 proof is plausible.
+		return cut.Load() || expanded > 3000
 	}
 	sv, fallback, err := newSolver(m, opt)
 	if err != nil {
@@ -125,7 +123,7 @@ func TestNativeCancellation(t *testing.T) {
 
 	start := time.Now()
 	sv.run()
-	res := sv.result(fallback)
+	res := sv.result(fallback, start)
 	if since := time.Since(start); since > 10*time.Second {
 		t.Fatalf("cancelled solve took %v", since)
 	}
@@ -192,7 +190,7 @@ func TestNativeUpperBoundFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(m, Options{Workers: 2, UpperBound: 1})
+	res, err := Solve(m, Options{Options: core.Options{UpperBound: 1}, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

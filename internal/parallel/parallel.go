@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/procgraph"
+	"repro/internal/schedule"
 	"repro/internal/taskgraph"
 )
 
@@ -67,31 +68,22 @@ func (d Distribution) String() string {
 	}
 }
 
-// Options configures a parallel solve.
+// Options configures a parallel solve: the shared search settings (Stop is
+// polled between rounds with the total expansion count across all PPEs)
+// plus the machine model. The shared Tracer is ignored: the PPEs run
+// concurrently, so each gets its own from TracerFor.
 type Options struct {
+	core.Options
 	// PPEs is the number of search workers (>= 1).
 	PPEs int
 	// Interconnect is the PPE topology; nil selects a near-square mesh (the
 	// Paragon's topology).
 	Interconnect *procgraph.System
-	// Epsilon > 0 runs the parallel Aε* (§4.4).
-	Epsilon float64
-	// Disable switches off §3.2 prunings, as in the serial engine.
-	Disable core.Disable
-	// HFunc selects the heuristic function.
-	HFunc core.HFunc
-	// UpperBound overrides the list-scheduling upper bound U when > 0.
-	UpperBound int32
 	// PeriodFloor is the minimum communication period T; the paper uses 2.
 	PeriodFloor int
 	// Distribution selects the state-placement policy (default: the paper's
 	// neighbor round-robin).
 	Distribution Distribution
-	// Stop, when non-nil, is polled between rounds with the total expansion
-	// count across all PPEs; returning true cuts the search off. See
-	// core.Options.Stop — the shared budget checker of internal/engine is
-	// the canonical implementation.
-	Stop func(expanded int64) bool
 	// TracerFor, when non-nil, supplies one core.Tracer per PPE; PPE i's
 	// expander reports its expansion/generation events to TracerFor(i).
 	// The initial seeding phase (§3.3 cases 1–3) runs on PPE 0's expander
@@ -204,21 +196,16 @@ func solve(m *core.Model, opt Options) (*core.Result, error) {
 	}
 	hash := opt.Distribution == DistributeHash
 
-	coreOpt := core.Options{
-		Disable:    opt.Disable,
-		Epsilon:    opt.Epsilon,
-		HFunc:      opt.HFunc,
-		UpperBound: opt.UpperBound,
-	}
-	ub, fallback, err := core.ResolveUpperBound(m, coreOpt)
+	opt.Tracer = nil // see Options
+	ub, fallback, err := core.ResolveUpperBound(m, opt.Options)
 	if err != nil {
 		return nil, err
 	}
 
 	workers := make([]*ppe, q)
 	for i := range workers {
-		w := &ppe{id: i, open: core.NewQueue(coreOpt), visited: core.NewVisited()}
-		w.exp = m.NewExpander(coreOpt, &w.stats)
+		w := &ppe{id: i, open: core.NewQueue(opt.Options), visited: core.NewVisited()}
+		w.exp = m.NewExpander(opt.Options, &w.stats)
 		if opt.TracerFor != nil {
 			w.exp.Tracer = opt.TracerFor(i)
 		}
@@ -326,7 +313,6 @@ func solve(m *core.Model, opt Options) (*core.Result, error) {
 	}()
 
 	proved := false
-	cutOff := false
 	for {
 		// Termination / cutoff checks on globally consistent state.
 		gmin, anyOpen := globalMinF(workers)
@@ -339,7 +325,6 @@ func solve(m *core.Model, opt Options) (*core.Result, error) {
 			break
 		}
 		if opt.Stop != nil && opt.Stop(totals().Expanded) {
-			cutOff = true
 			break
 		}
 
@@ -381,27 +366,14 @@ func solve(m *core.Model, opt Options) (*core.Result, error) {
 	stats.CriticalWork = critWork
 	stats.UpperBound = ub
 	stats.StaticLB = m.StaticLowerBound()
-	res := &core.Result{Stats: stats}
+	var best *schedule.Schedule
+	exact := false
 	if incumbent != nil {
-		res.Schedule = m.ScheduleOf(incumbent)
-		res.Length = incumbent.F()
-		if proved && !cutOff {
-			gmin, anyOpen := globalMinF(workers)
-			res.Optimal = opt.Epsilon == 0 || !anyOpen || incumbent.F() <= gmin
-			// A proven-optimal run reports the exact guarantee, not the
-			// looser ε bound it happened to search under.
-			if res.Optimal {
-				res.BoundFactor = 1
-			} else {
-				res.BoundFactor = 1 + opt.Epsilon
-			}
-		}
-	} else {
-		res.Schedule = fallback
-		res.Length = fallback.Length
+		best = m.ScheduleOf(incumbent)
+		gmin, anyOpen := globalMinF(workers)
+		exact = !anyOpen || incumbent.F() <= gmin
 	}
-	res.Stats.WallTime = time.Since(started)
-	return res, nil
+	return core.Certify(best, fallback, proved, exact, opt.Epsilon, stats, started), nil
 }
 
 // seedSearch expands best-first from the root until at least want states are

@@ -73,7 +73,7 @@ func TestParallelEpsilonBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Solve(g, sys, Options{PPEs: 4, Epsilon: eps})
+			par, err := Solve(g, sys, Options{Options: core.Options{Epsilon: eps}, PPEs: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestParallelDeterministic(t *testing.T) {
 func TestParallelCutoff(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 20, CCR: 10.0, Seed: 3})
 	sys := procgraph.Complete(6)
-	res, err := Solve(g, sys, Options{PPEs: 4, Stop: func(expanded int64) bool { return expanded >= 50 }})
+	res, err := Solve(g, sys, Options{Options: core.Options{Stop: func(expanded int64) bool { return expanded >= 50 }}, PPEs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestEpsilonWithHashDistribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(g, sys, Options{PPEs: 4, Epsilon: eps, Distribution: DistributeHash})
+		res, err := Solve(g, sys, Options{Options: core.Options{Epsilon: eps}, PPEs: 4, Distribution: DistributeHash})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestDeadlineCutoffReturnsFeasible(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 16, CCR: 10.0, Seed: 2})
 	sys := procgraph.Complete(4)
 	deadline := time.Now().Add(-time.Second)
-	res, err := Solve(g, sys, Options{PPEs: 4, Stop: func(int64) bool { return time.Now().After(deadline) }})
+	res, err := Solve(g, sys, Options{Options: core.Options{Stop: func(int64) bool { return time.Now().After(deadline) }}, PPEs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
