@@ -209,6 +209,10 @@ func cmdSchedule(args []string) {
 	fs.Parse(args)
 	g := loadGraph(fs.Args())
 	sys := parseSystem(*procs, g.NumNodes())
+	// The list heuristics share the engines' int32 cost arithmetic.
+	if err := core.CheckInstance(g, sys); err != nil {
+		fatal(err)
+	}
 
 	var disable core.Disable
 	if *noPrune {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -61,5 +62,35 @@ func TestScheduleCLILargeSTG(t *testing.T) {
 	}
 	if !strings.Contains(out, "algorithm=astar") {
 		t.Fatalf("unexpected CLI header:\n%s", out)
+	}
+}
+
+// TestScheduleCLIRejectsCostOverflow runs the built CLI on a 3-task chain
+// of weight 1e9, whose schedule length does not fit the engines' int32
+// arithmetic: every engine and heuristic path must exit non-zero with the
+// cost-range error before solving, not report a wrapped schedule as a bug.
+func TestScheduleCLIRejectsCostOverflow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI binary; skipped in -short")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "icpp98")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building icpp98: %v\n%s", err, out)
+	}
+	path := filepath.Join(dir, "chain.tg")
+	chain := "graph chain\nnode 0 1000000000\nnode 1 1000000000\nnode 2 1000000000\nedge 0 1 0\nedge 1 2 0\n"
+	if err := os.WriteFile(path, []byte(chain), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"astar", "dfbb", "list"} {
+		out, err := exec.Command(bin, "schedule", "-algo", algo, "-procs", "complete:1", "-gantt=false", path).CombinedOutput()
+		if err == nil {
+			t.Errorf("%s: accepted the instance:\n%s", algo, out)
+			continue
+		}
+		if !strings.Contains(string(out), "int32 range") || strings.Contains(string(out), "bug") {
+			t.Errorf("%s: want the cost-range error, got:\n%s", algo, out)
+		}
 	}
 }

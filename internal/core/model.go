@@ -20,7 +20,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -64,19 +66,73 @@ type Model struct {
 	ftoEligible   bool    // system is the classic model the FTO proof assumes
 }
 
-// NewModel validates the instance and precomputes the search tables.
-func NewModel(g *taskgraph.Graph, sys *procgraph.System) (*Model, error) {
-	v := g.NumNodes()
-	p := sys.NumProcs()
+// MaxCost is the largest worst-case schedule length the engines accept;
+// see CheckInstance.
+const MaxCost = 1<<29 - 1
+
+// ErrCostRange marks an instance whose costs the search's int32 arithmetic
+// cannot represent.
+var ErrCostRange = errors.New("instance costs exceed the engines' int32 range")
+
+// CheckInstance reports whether the engines can search g on sys: a
+// non-empty graph of at most MaxNodes tasks, a system with processors, and
+// a worst-case schedule length W of at most MaxCost. W is the sum over
+// tasks of the largest execution cost on any PE plus the sum over edges of
+// the largest communication cost between any two PEs. The check runs on
+// the system's costs, not the graph's weights, because PE speeds and hop
+// distances scale them.
+//
+// Why W bounds the arithmetic: every engine starts a task at the ready
+// time of its PE or at a parent's finish plus that edge's communication
+// cost. Following those links back from any task visits each task and
+// each edge at most once, so every start, finish and g is at most W. Each
+// h term is at most W more: a static level is one path's costs, the
+// critical-path bound adds one to an earliest start, and the load bound
+// averages the PE timelines and the remaining work. So every f is at most
+// 2W + 1 < 1<<30, which stays below the engines' "no bound" sentinels
+// (1<<30 in the depth-first engines, MaxInt32 elsewhere) and leaves int32
+// a factor of two to spare.
+func CheckInstance(g *taskgraph.Graph, sys *procgraph.System) error {
+	v, p := g.NumNodes(), sys.NumProcs()
 	if v == 0 {
-		return nil, fmt.Errorf("core: empty task graph")
+		return fmt.Errorf("core: empty task graph")
 	}
 	if v > MaxNodes {
-		return nil, fmt.Errorf("core: %d nodes exceeds the engine limit of %d (the %d-word scheduled-set mask)", v, MaxNodes, MaskWords)
+		return fmt.Errorf("core: %d nodes exceeds the engine limit of %d (the %d-word scheduled-set mask)", v, MaxNodes, MaskWords)
 	}
 	if p == 0 {
-		return nil, fmt.Errorf("core: system has no processors")
+		return fmt.Errorf("core: system has no processors")
 	}
+	// Float64 holds every partial sum exactly: at most MaxNodes terms below
+	// 2^33 each.
+	speed := 0.0
+	for pe := 0; pe < p; pe++ {
+		speed = max(speed, sys.Speed(pe))
+	}
+	hops := float64(sys.Diameter())
+	if sys.Link() == procgraph.LinkUniform {
+		hops = 1
+	}
+	var worst float64
+	for n := int32(0); int(n) < v; n++ {
+		worst += max(1, math.Ceil(float64(g.Weight(n))*speed))
+		for _, a := range g.Succ(n) {
+			worst += float64(a.Cost) * hops
+		}
+	}
+	if worst > MaxCost {
+		return fmt.Errorf("core: %w: the worst-case schedule length %.0f exceeds %d", ErrCostRange, worst, MaxCost)
+	}
+	return nil
+}
+
+// NewModel validates the instance (CheckInstance) and precomputes the
+// search tables.
+func NewModel(g *taskgraph.Graph, sys *procgraph.System) (*Model, error) {
+	if err := CheckInstance(g, sys); err != nil {
+		return nil, err
+	}
+	v, p := g.NumNodes(), sys.NumProcs()
 	m := &Model{G: g, Sys: sys, V: v, P: p}
 
 	m.exec = make([][]int32, v)

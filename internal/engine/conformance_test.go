@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/procgraph"
+	"repro/internal/taskgraph"
 )
 
 // TestRegistryContents asserts the refactor's contract: at least the five
@@ -257,6 +258,61 @@ func TestBudgetCutReturnsSchedule(t *testing.T) {
 		}
 		if verr := res.Schedule.Validate(); verr != nil {
 			t.Errorf("%s: budget-cut incumbent invalid: %v", e.Name(), verr)
+		}
+	}
+}
+
+// TestEnginesAtCostBound scales a random instance until its worst-case
+// schedule length sits just inside core.MaxCost, on a hop-scaled ring where
+// communication costs double, and requires every registered engine to
+// return a valid schedule, the exact engines all proving the same optimum.
+// This is the cost-range argument of core.CheckInstance in practice: no f
+// the engines compute on an accepted instance overflows.
+func TestEnginesAtCostBound(t *testing.T) {
+	base := gen.MustRandom(gen.RandomConfig{V: 7, CCR: 1.0, Seed: 3})
+	sys := procgraph.Ring(4) // diameter 2
+	var worst int64
+	for n := int32(0); int(n) < base.NumNodes(); n++ {
+		worst += int64(base.Weight(n))
+	}
+	for _, e := range base.Edges() {
+		worst += 2 * int64(e.Cost)
+	}
+	scale := int32(core.MaxCost / worst)
+	b := taskgraph.NewBuilder("scaled")
+	for n := int32(0); int(n) < base.NumNodes(); n++ {
+		b.AddNode(base.Weight(n) * scale)
+	}
+	for _, e := range base.Edges() {
+		b.AddEdge(e.From, e.To, e.Cost*scale)
+	}
+	g := b.MustBuild()
+	if err := core.CheckInstance(g, sys); err != nil {
+		t.Fatalf("scaled instance rejected: %v", err)
+	}
+	if int64(scale)*worst*2 <= core.MaxCost {
+		t.Fatalf("scale %d leaves the instance far from the bound", scale)
+	}
+	ref, err := engine.Solve(context.Background(), "astar", g, sys, engine.Config{})
+	if err != nil || !ref.Optimal {
+		t.Fatalf("astar: %v (optimal %v)", err, ref != nil && ref.Optimal)
+	}
+	for _, e := range engine.All() {
+		if e.Name() == "test-block" {
+			continue // test-only engine registered elsewhere in this binary
+		}
+		res, err := engine.Solve(context.Background(), e.Name(), g, sys, engine.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if err := res.Schedule.Validate(); err != nil {
+			t.Errorf("%s: %v", e.Name(), err)
+		}
+		if res.Optimal && res.Length != ref.Length {
+			t.Errorf("%s: proved %d, astar proved %d", e.Name(), res.Length, ref.Length)
+		}
+		if float64(res.Length) > res.BoundFactor*float64(ref.Length) && res.BoundFactor > 0 {
+			t.Errorf("%s: length %d breaks its bound %g×%d", e.Name(), res.Length, res.BoundFactor, ref.Length)
 		}
 	}
 }

@@ -438,15 +438,17 @@ func decodeInstance(req *SubmitRequest) (*taskgraph.Graph, *procgraph.System, er
 	if err != nil {
 		return nil, nil, err
 	}
-	// Reject oversize graphs at the door with the documented error shape
-	// instead of letting the job fail at solve time: every engine shares the
-	// core mask capacity, so no engine choice can save the job.
-	if v := g.NumNodes(); v > core.MaxNodes {
-		return nil, nil, fmt.Errorf("task graph has %d nodes; the engines accept at most %d (the scheduled-set mask capacity)", v, core.MaxNodes)
-	}
-
-	sys, err := decodeSystem(req.System, g.NumNodes())
+	// The default system has one PE per task, capped at the engines' task
+	// limit so an oversize graph cannot make it allocate a huge distance
+	// matrix before CheckInstance rejects the graph.
+	sys, err := decodeSystem(req.System, min(g.NumNodes(), core.MaxNodes))
 	if err != nil {
+		return nil, nil, err
+	}
+	// Reject what no engine can search (too many tasks, costs beyond the
+	// int32 search arithmetic) at the door with the documented error shape,
+	// instead of letting the job fail, or overflow, at solve time.
+	if err := core.CheckInstance(g, sys); err != nil {
 		return nil, nil, err
 	}
 	return g, sys, nil

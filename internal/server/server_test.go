@@ -1058,6 +1058,41 @@ func TestOversizeGraphRejected(t *testing.T) {
 	}
 }
 
+// TestCostOverflowRejected: a 3-task chain of weight 1e9 has a 3e9 schedule
+// length, beyond the engines' int32 arithmetic (it used to be accepted and
+// served with a negative finish time). It is a 400 bad_request at submit
+// time naming the cost limit, and no job is created.
+func TestCostOverflowRejected(t *testing.T) {
+	_, base := newTestServer(t, Config{})
+	resp := postJobRaw(t, base, SubmitRequest{
+		GraphText: "graph chain\nnode 0 1000000000\nnode 1 1000000000\nnode 2 1000000000\nedge 0 1 0\nedge 1 2 0\n",
+		System:    json.RawMessage(`"complete:1"`),
+	})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing submit: got %d, want 400", resp.StatusCode)
+	}
+	var e ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Code != ErrCodeBadRequest || !strings.Contains(e.Message, fmt.Sprint(core.MaxCost)) {
+		t.Fatalf("error %+v, want bad_request naming the %d cost limit", e, core.MaxCost)
+	}
+	listResp, err := http.Get(base + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer listResp.Body.Close()
+	var list JobList
+	if err := json.NewDecoder(listResp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 0 {
+		t.Fatalf("job list after a rejected submit: %+v", list.Jobs)
+	}
+}
+
 // getTrace fetches and decodes GET /v1/jobs/{id}/trace.
 func getTrace(t *testing.T, base, id string) TraceResponse {
 	t.Helper()
