@@ -178,7 +178,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := res.Write(w, *format); err != nil {
+		if err := bench.Write(w, *format, res); err != nil {
 			fatal(err)
 		}
 		if err := closeTable(); err != nil {

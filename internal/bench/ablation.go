@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -93,22 +92,6 @@ func (r *AblationResult) Tables() []*table {
 	return []*table{t}
 }
 
-// Write renders the ablation in the requested format.
-func (r *AblationResult) Write(w io.Writer, format string) error {
-	for _, t := range r.Tables() {
-		var err error
-		if format == "csv" {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteMarkdown(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DistributionRow measures one parallel distribution policy.
 type DistributionRow struct {
 	CCR            float64
@@ -193,20 +176,4 @@ func (r *DistributionResult) Tables() []*table {
 	t.Notes = append(t.Notes,
 		"hash partitioning dedups globally (sharded CLOSED) and should hold the work ratio near 1; the paper's local-only CLOSED re-explores reconverging states")
 	return []*table{t}
-}
-
-// Write renders the comparison in the requested format.
-func (r *DistributionResult) Write(w io.Writer, format string) error {
-	for _, t := range r.Tables() {
-		var err error
-		if format == "csv" {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteMarkdown(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -42,10 +42,10 @@ func TestRunTable1(t *testing.T) {
 		}
 	}
 	var md, csv bytes.Buffer
-	if err := res.Write(&md, "md"); err != nil {
+	if err := Write(&md, "md", res); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Write(&csv, "csv"); err != nil {
+	if err := Write(&csv, "csv", res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), "Table 1") || !strings.Contains(md.String(), "| v |") {
@@ -74,7 +74,7 @@ func TestRunFig6(t *testing.T) {
 		}
 	}
 	var md bytes.Buffer
-	if err := res.Write(&md, "md"); err != nil {
+	if err := Write(&md, "md", res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), "Figure 6") {
@@ -103,7 +103,7 @@ func TestRunFig7(t *testing.T) {
 		}
 	}
 	var md bytes.Buffer
-	if err := res.Write(&md, "md"); err != nil {
+	if err := Write(&md, "md", res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), "Figure 7") {
@@ -130,7 +130,7 @@ func TestRunAblation(t *testing.T) {
 		}
 	}
 	var md bytes.Buffer
-	if err := res.Write(&md, "md"); err != nil {
+	if err := Write(&md, "md", res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), "Ablation") {
@@ -179,7 +179,7 @@ func TestRunEngines(t *testing.T) {
 		t.Fatal("no exact engine proved optimality on the test instance")
 	}
 	var md bytes.Buffer
-	if err := res.Write(&md, "md"); err != nil {
+	if err := Write(&md, "md", res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), "Engine comparison") {
@@ -232,7 +232,7 @@ func TestRunLarge(t *testing.T) {
 		}
 	}
 	var md bytes.Buffer
-	if err := res.Write(&md, "md"); err != nil {
+	if err := Write(&md, "md", res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), "Large instances") {

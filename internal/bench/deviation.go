@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/engine"
 	"repro/internal/listsched"
@@ -97,20 +96,4 @@ func (r *DeviationResult) Tables() []*table {
 		out = append(out, t)
 	}
 	return out
-}
-
-// Write renders the result in the requested format ("md" or "csv").
-func (r *DeviationResult) Write(w io.Writer, format string) error {
-	for _, t := range r.Tables() {
-		var err error
-		if format == "csv" {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteMarkdown(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

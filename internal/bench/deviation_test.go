@@ -32,10 +32,10 @@ func TestRunDeviation(t *testing.T) {
 		}
 	}
 	var md, csv bytes.Buffer
-	if err := res.Write(&md, "md"); err != nil {
+	if err := Write(&md, "md", res); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Write(&csv, "csv"); err != nil {
+	if err := Write(&csv, "csv", res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), "Heuristic deviation") {

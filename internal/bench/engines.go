@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/engine"
@@ -66,20 +65,4 @@ func (r *EnginesResult) Tables() []*table {
 	t.Notes = append(t.Notes,
 		"every exact engine must agree on SL when optimal; aeps may exceed it by at most its ε bound")
 	return []*table{t}
-}
-
-// Write renders the comparison in the requested format.
-func (r *EnginesResult) Write(w io.Writer, format string) error {
-	for _, t := range r.Tables() {
-		var err error
-		if format == "csv" {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteMarkdown(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

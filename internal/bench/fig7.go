@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/engine"
@@ -107,20 +106,4 @@ func (r *Fig7Result) Tables() []*table {
 		out = append(out, t)
 	}
 	return out
-}
-
-// Write renders all series in the requested format ("md" or "csv").
-func (r *Fig7Result) Write(w io.Writer, format string) error {
-	for _, t := range r.Tables() {
-		var err error
-		if format == "csv" {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteMarkdown(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

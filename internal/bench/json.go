@@ -14,12 +14,36 @@ import (
 // trajectory of the repository can be recorded run-over-run and diffed by
 // tooling instead of read off markdown tables.
 
-// Result is the surface every experiment result shares: render as
-// tables, and write in a human format. The seven Run* constructors all
-// return one.
+// Result is the surface every experiment result shares: its tables, which
+// Write renders in a human format and WriteJSON exports. Every Run*
+// constructor returns one.
 type Result interface {
 	Tables() []*table
-	Write(w io.Writer, format string) error
+}
+
+// Write renders r's tables as CSV when format is "csv" and as Markdown
+// otherwise, then one line per gate failure when r is a gated experiment
+// (it has a FailureList).
+func Write(w io.Writer, format string, r Result) error {
+	for _, t := range r.Tables() {
+		var err error
+		if format == "csv" {
+			err = t.WriteCSV(w)
+		} else {
+			err = t.WriteMarkdown(w)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if g, ok := r.(interface{ FailureList() []string }); ok {
+		for _, f := range g.FailureList() {
+			if _, err := fmt.Fprintf(w, "GATE FAILURE: %s\n", f); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // EngineRecord is one fully machine-readable measurement: an engine on an

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -123,20 +122,4 @@ func (r *LargeResult) Tables() []*table {
 		"layered STG workload (zero communication costs), complete:8 target, HPlus heuristic",
 		fmt.Sprintf("per-cell budget: %d expansions, portfolio races astar+aeps+dfbb (expanded sums all entrants)", r.Config.CellBudget))
 	return []*table{t}
-}
-
-// Write renders the experiment in the requested format.
-func (r *LargeResult) Write(w io.Writer, format string) error {
-	for _, t := range r.Tables() {
-		var err error
-		if format == "csv" {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteMarkdown(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -255,24 +254,5 @@ func (r *PruningResult) Tables() []*table {
 	t.Notes = append(t.Notes,
 		"baseline = the pre-overhaul configuration (§3.2 prunings, paper heuristic); vs-baseline is its expansions over the variant's",
 		"every proven-optimal variant of one cell must agree on SL — disagreement fails the run")
-	for _, f := range r.Failures {
-		t.Notes = append(t.Notes, "GATE FAILURE: "+f)
-	}
 	return []*table{t}
-}
-
-// Write renders the ablation in the requested format.
-func (r *PruningResult) Write(w io.Writer, format string) error {
-	for _, t := range r.Tables() {
-		var err error
-		if format == "csv" {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteMarkdown(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

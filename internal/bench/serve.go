@@ -489,24 +489,5 @@ func (r *ServeResult) Tables() []*table {
 			"gates: every request done, repeats hit, warm byte-identical to a fresh solve (modulo job ID and wall time), bypass re-solves, /metrics passes the exposition linter",
 		},
 	}
-	for _, f := range r.Failures {
-		t.Notes = append(t.Notes, "GATE FAILURE: "+f)
-	}
 	return []*table{t}
-}
-
-// Write renders the serve report in the requested format.
-func (r *ServeResult) Write(w io.Writer, format string) error {
-	for _, t := range r.Tables() {
-		var err error
-		if format == "csv" {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteMarkdown(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

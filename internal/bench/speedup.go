@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"time"
@@ -241,25 +240,4 @@ func (r *SpeedupResult) Tables() []*table {
 		t.Notes = append(t.Notes, fmt.Sprintf("DETERMINISM GATE FAILED: %d violation(s), see report", len(r.Failures)))
 	}
 	return []*table{t}
-}
-
-// Write renders the experiment in the requested format.
-func (r *SpeedupResult) Write(w io.Writer, format string) error {
-	for _, t := range r.Tables() {
-		var err error
-		if format == "csv" {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteMarkdown(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	for _, f := range r.Failures {
-		if _, err := fmt.Fprintf(w, "GATE FAILURE: %s\n", f); err != nil {
-			return err
-		}
-	}
-	return nil
 }

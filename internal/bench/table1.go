@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -96,22 +95,6 @@ func cellString(c cellResult) string {
 		return "—"
 	}
 	return fmtDuration(c.Time)
-}
-
-// Write renders all CCR blocks in the requested format ("md" or "csv").
-func (r *Table1Result) Write(w io.Writer, format string) error {
-	for _, t := range r.Tables() {
-		var err error
-		if format == "csv" {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteMarkdown(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // mustGraph builds the §4.1 instance for a cell.
