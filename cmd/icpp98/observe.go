@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/bench"
 	"repro/internal/server"
 )
 
@@ -138,8 +139,8 @@ type metricFamily struct {
 }
 
 // parseExposition splits a Prometheus 0.0.4 text page into families in
-// page order. It is a renderer's parser — tolerant, dropping lines it
-// cannot read — not a validator; internal/bench carries the strict linter.
+// page order. It is tolerant — a line the sample parser rejects is
+// dropped — and leaves validation to internal/bench's linter.
 func parseExposition(text string) []metricFamily {
 	byName := map[string]*metricFamily{}
 	var order []*metricFamily
@@ -190,68 +191,33 @@ func parseExposition(text string) []metricFamily {
 	return out
 }
 
-// parseSampleLine reads `name{k="v",...} value`, splitting the le label
-// out of the block so histogram buckets group by their remaining labels.
+// parseSampleLine reads one sample line with the exposition linter's
+// parser, splitting the le label out of the block so histogram buckets
+// group by their remaining labels.
 func parseSampleLine(line string) (metricSample, bool) {
-	var s metricSample
-	rest := line
-	if i := strings.IndexAny(rest, "{ "); i < 0 {
-		return s, false
-	} else {
-		s.name = rest[:i]
-		rest = rest[i:]
+	name, labels, value, ok := bench.ParseSample(line)
+	if !ok {
+		return metricSample{}, false
 	}
-	if strings.HasPrefix(rest, "{") {
-		end := strings.LastIndex(rest, "}")
-		if end < 0 {
-			return s, false
-		}
-		var kept []string
-		for _, pair := range splitLabels(rest[1:end]) {
-			if v, ok := strings.CutPrefix(pair, "le="); ok {
-				s.le = strings.Trim(v, `"`)
-				continue
-			}
-			kept = append(kept, pair)
-		}
-		s.labels = strings.Join(kept, ",")
-		rest = rest[end+1:]
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+	v, err := strconv.ParseFloat(value, 64)
 	if err != nil {
-		return s, false
+		return metricSample{}, false
 	}
-	s.value = v
+	s := metricSample{name: name, value: v}
+	var kept []string
+	for _, kv := range labels {
+		if kv[0] == "le" {
+			s.le = kv[1]
+			continue
+		}
+		kept = append(kept, kv[0]+`="`+labelEscaper.Replace(kv[1])+`"`)
+	}
+	s.labels = strings.Join(kept, ",")
 	return s, true
 }
 
-// splitLabels splits a label block on commas outside quoted values.
-func splitLabels(block string) []string {
-	var out []string
-	var b strings.Builder
-	inQuote := false
-	for i := 0; i < len(block); i++ {
-		c := block[i]
-		switch {
-		case c == '\\' && inQuote && i+1 < len(block):
-			b.WriteByte(c)
-			i++
-			b.WriteByte(block[i])
-		case c == '"':
-			inQuote = !inQuote
-			b.WriteByte(c)
-		case c == ',' && !inQuote:
-			out = append(out, b.String())
-			b.Reset()
-		default:
-			b.WriteByte(c)
-		}
-	}
-	if b.Len() > 0 {
-		out = append(out, b.String())
-	}
-	return out
-}
+// labelEscaper restores the exposition escapes the parser undid.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // printMetrics renders a parsed exposition: plain counters and gauges as
 // aligned name/value lines, histograms as one row per label set with the

@@ -124,7 +124,7 @@ func LintMetrics(text string) []string {
 		case strings.HasPrefix(line, "#"):
 			// Plain comments are legal and ignored.
 		default:
-			name, labels, value, ok := lintParseSample(line)
+			name, labels, value, ok := ParseSample(line)
 			if !ok {
 				problem(n, "unparseable sample line: %s", line)
 				continue
@@ -268,9 +268,11 @@ func lintFoldHistogram(f *lintFamily, name string, labels [][2]string, value str
 	}
 }
 
-// lintParseSample splits `name{labels} value [timestamp]` into its parts.
-// Label values keep their escapes undone.
-func lintParseSample(line string) (name string, labels [][2]string, value string, ok bool) {
+// ParseSample splits an exposition sample line, `name{labels} value
+// [timestamp]`, into its parts, with the label pairs in page order and
+// their values unescaped. ok is false for a malformed line. The linter and
+// the CLI's metrics renderer share it.
+func ParseSample(line string) (name string, labels [][2]string, value string, ok bool) {
 	rest := line
 	brace := strings.IndexByte(rest, '{')
 	space := strings.IndexAny(rest, " \t")
