@@ -171,13 +171,8 @@ func Solve(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*core.Result
 	return SolveModel(m, opt)
 }
 
-// Model aliases core.Model so callers can prebuild it once per instance.
-type Model = core.Model
-
-// SolveModel is Solve for a prebuilt Model.
-func SolveModel(m *Model, opt Options) (*core.Result, error) { return solve(m, opt) }
-
-func solve(m *core.Model, opt Options) (*core.Result, error) {
+// SolveModel is Solve for a prebuilt model.
+func SolveModel(m *core.Model, opt Options) (*core.Result, error) {
 	started := time.Now()
 	q := opt.PPEs
 	if q < 1 {
