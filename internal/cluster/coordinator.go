@@ -629,6 +629,26 @@ func (c *Coordinator) adoptLocked(t *task, ws *workerState) {
 		"worker", ws.name, "worker_id", ws.id, "attempt", t.attempts)
 }
 
+// rebindLocked moves a leased task to ws, the fresh identity of the worker
+// that holds the lease: adoption is idempotent per token, so presenting
+// the token again re-binds the lease instead of abandoning it. No failure
+// is charged and no fresh lease granted; the worker the task leaves keeps
+// nothing to fail over.
+func (c *Coordinator) rebindLocked(t *task, ws *workerState) {
+	from := t.worker
+	if old := c.workers[from]; old != nil {
+		delete(old.leased, t.job.ID)
+	}
+	t.worker = ws.id
+	t.workerName = ws.name
+	t.leaseExpiry = time.Now().Add(c.cfg.LeaseTTL)
+	ws.leased[t.job.ID] = t
+	c.putLeaseLocked(t)
+	c.log.Info("lease re-bound to re-registered worker",
+		"job", t.job.ID, "trace_id", t.job.TraceID,
+		"worker", ws.name, "worker_id", ws.id, "from_worker_id", from)
+}
+
 // Capacity implements server.Dispatcher.
 func (c *Coordinator) Capacity() int {
 	c.mu.Lock()
@@ -753,11 +773,13 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 // adoptHeldLocked answers a re-registering worker's held leases. A lease
-// is adopted when its token matches either a live adopting task (the
-// job's re-dispatch arrived first) or a parked recovered lease (the
-// worker arrived first — it binds here and the re-dispatch completes the
-// adoption); anything else is abandoned with the reason, and the worker
-// cancels that solve.
+// is adopted when its token matches a live adopting task (the job's
+// re-dispatch arrived first), a parked recovered lease (the worker
+// arrived first — it binds here and the re-dispatch completes the
+// adoption), or a task already leased under that token (an earlier
+// registration adopted it, but its answer never reached the worker, which
+// registered again: the lease moves to the fresh identity). Anything else
+// is abandoned with the reason, and the worker cancels that solve.
 func (c *Coordinator) adoptHeldLocked(ws *workerState, held []HeldLease) []LeaseAdoption {
 	if len(held) == 0 {
 		return nil
@@ -770,6 +792,9 @@ func (c *Coordinator) adoptHeldLocked(ws *workerState, held []HeldLease) []Lease
 		switch {
 		case t != nil && t.adopting && h.Token != "" && t.token == h.Token:
 			c.adoptLocked(t, ws)
+			a.Adopted = true
+		case t != nil && !t.adopting && t.worker != "" && h.Token != "" && t.token == h.Token:
+			c.rebindLocked(t, ws)
 			a.Adopted = true
 		case p != nil && h.Token != "" && p.rec.Token == h.Token:
 			p.workerID = ws.id

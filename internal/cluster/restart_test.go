@@ -89,6 +89,7 @@ var (
 	gateRestart    = newReleaseGate("gate-restart")
 	gateExpiry     = newReleaseGate("gate-expiry")
 	gateReregister = newReleaseGate("gate-reregister")
+	gateLostAnswer = newReleaseGate("gate-lost-answer")
 )
 
 // restartTimings keep the failure detector inert (minute-scale lease and
@@ -388,6 +389,88 @@ func TestAdoptedResultSurvivesSolveEndingMidRegistration(t *testing.T) {
 	}
 	if h := coord2.Health(); h.Adoptions != 1 || h.Failovers != 0 || h.Dispatched != 0 {
 		t.Fatalf("successor health = %+v; the held registration must re-adopt (no failover, no fresh lease)", h)
+	}
+}
+
+// TestAdoptionSurvivesLostRegistrationAnswer pins that adoption is
+// idempotent per lease token. The first worker registration reaching the
+// restarted coordinator adopts the lease, but its answer is dropped (the
+// worker sees a 503), so the worker registers again under a fresh
+// identity and presents the same token. That registration must re-bind
+// the lease to the new identity, not refuse it as "no adoptable lease":
+// the solve keeps running and its result is delivered, with one adoption,
+// no failover, no fresh lease, and the retry budget (MaxAttempts 1)
+// untouched.
+func TestAdoptionSurvivesLostRegistrationAnswer(t *testing.T) {
+	gateLostAnswer.reset()
+	dir := t.TempDir()
+
+	srv1, coord1, _ := openIncarnation(t, dir, restartTimings())
+	ts1 := httptest.NewServer(srv1)
+	addr := ts1.Listener.Addr().String()
+	url := "http://" + addr
+	startWorker(t, coord1, url, "survivor", 1)
+
+	id := postJob(t, url, server.SubmitRequest{
+		Graph:  paperGraphJSON(t),
+		System: json.RawMessage(`"ring:3"`),
+		Engine: gateLostAnswer.name,
+	})
+	_, _, started := gateLostAnswer.gates()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker never started solving")
+	}
+	ts1.Close()
+
+	srv2, coord2, resumed := openIncarnation(t, dir, restartTimings())
+	if resumed != 1 {
+		t.Fatalf("ResumeRecovered = %d, want 1 (the mid-lease job)", resumed)
+	}
+
+	// The first registration is served in full and its answer dropped; the
+	// solve is released once the second one has been answered.
+	var registrations atomic.Int32
+	holder := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/workers/register" {
+			srv2.ServeHTTP(w, r)
+			return
+		}
+		switch registrations.Add(1) {
+		case 1:
+			srv2.ServeHTTP(httptest.NewRecorder(), r)
+			http.Error(w, "answer lost", http.StatusServiceUnavailable)
+		case 2:
+			srv2.ServeHTTP(w, r)
+			gateLostAnswer.releaseAll()
+		default:
+			srv2.ServeHTTP(w, r)
+		}
+	})
+	ts2 := httptest.NewUnstartedServer(holder)
+	ts2.Listener.Close()
+	ts2.Listener = relisten(t, addr)
+	ts2.Start()
+	t.Cleanup(func() {
+		gateLostAnswer.releaseAll()
+		ts2.Close()
+		srv2.Close()
+		coord2.Close()
+	})
+
+	st := waitTerminal(t, url, id)
+	if st.State != server.StateDone {
+		t.Fatalf("job state = %s (error %q), want done via the re-bound lease", st.State, st.Error)
+	}
+	if !st.Optimal || st.Length != 14 {
+		t.Fatalf("adopted result length=%d optimal=%v, want the paper optimum 14/true", st.Length, st.Optimal)
+	}
+	if n := registrations.Load(); n < 2 {
+		t.Fatalf("%d worker registrations reached the successor, want the dropped one and its retry", n)
+	}
+	if h := coord2.Health(); h.Adoptions != 1 || h.Failovers != 0 || h.Dispatched != 0 {
+		t.Fatalf("successor health = %+v; the retried registration must re-bind the adopted lease (no failover, no fresh lease)", h)
 	}
 }
 

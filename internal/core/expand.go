@@ -109,10 +109,10 @@ func HFuncByName(name string) (HFunc, bool) {
 // paper's search-tree figures draw. The trace package builds Figure 3/5
 // renderings from these events.
 //
-// The *State pointers a Tracer receives stay valid, and their fields
-// unchanged, after the solve returns: states live in the solve's own arena,
-// which is never handed to a later solve, so a tracer may keep them (the
-// trace package's tree does).
+// A *State a Tracer receives is valid until the solve returns. States live
+// in the solve's arena, which SolveModel hands to a later solve, so a
+// tracer that keeps a state past the solve must keep a copy
+// (State.Detach; the trace package's tree does).
 type Tracer interface {
 	// Expanded is called when s is taken for expansion.
 	Expanded(s *State)
@@ -271,15 +271,20 @@ type Expander struct {
 }
 
 // NewExpander returns an expander for the model with its own scratch space
-// and state arena.
+// and a fresh state arena.
 func (m *Model) NewExpander(opt Options, stats *Stats) *Expander {
+	return m.newExpander(opt, stats, NewArena())
+}
+
+// newExpander returns an expander that allocates its states from arena.
+func (m *Model) newExpander(opt Options, stats *Stats, arena *Arena) *Expander {
 	e := &Expander{
 		M:        m,
 		Disable:  opt.Disable,
 		HFunc:    opt.HFunc,
 		Tracer:   opt.Tracer,
 		Stats:    stats,
-		arena:    NewArena(),
+		arena:    arena,
 		procOf:   make([]int32, m.V),
 		finishOf: make([]int32, m.V),
 		sched:    make([]int32, 0, m.V),

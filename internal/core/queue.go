@@ -1,9 +1,5 @@
 package core
 
-import (
-	"repro/internal/heapx"
-)
-
 // Queue is the OPEN-list abstraction shared by the serial and parallel
 // engines. Implementations hold only incomplete states (goals are captured
 // by the engines as incumbents at generation time).
@@ -24,36 +20,41 @@ type Queue interface {
 // BestFirstQueue is the exact A* OPEN list: Pop returns the minimum-f state
 // (ties prefer deeper states).
 type BestFirstQueue struct {
-	h *heapx.Heap[*State]
+	h openHeap
 }
 
-// NewBestFirstQueue returns an empty best-first queue, reusing a heap a
-// finished solve released when one is pooled (see reuse.go).
-func NewBestFirstQueue() *BestFirstQueue {
-	return &BestFirstQueue{h: takeHeap()}
-}
+// NewBestFirstQueue returns an empty best-first queue. Its heap grows
+// through arrays a finished solve released, when some are pooled (see
+// reuse.go).
+func NewBestFirstQueue() *BestFirstQueue { return &BestFirstQueue{} }
 
 // Push inserts a state.
-func (q *BestFirstQueue) Push(s *State) { q.h.Push(s) }
+//
+//icpp98:hotpath
+func (q *BestFirstQueue) Push(s *State) { q.h.push(openEntry{key: exactKey(s), s: s}) }
 
 // Pop removes and returns the minimum-f state, or nil when empty.
+//
+//icpp98:hotpath
 func (q *BestFirstQueue) Pop() *State {
-	if q.h.Len() == 0 {
+	if len(q.h.items) == 0 {
 		return nil
 	}
-	return q.h.Pop()
+	return q.h.pop()
 }
 
 // MinF returns the minimum f over queued states.
+//
+//icpp98:hotpath
 func (q *BestFirstQueue) MinF() (int32, bool) {
-	if q.h.Len() == 0 {
+	if len(q.h.items) == 0 {
 		return 0, false
 	}
-	return q.h.Peek().f, true
+	return q.h.items[0].f(), true
 }
 
 // Len returns the number of queued states.
-func (q *BestFirstQueue) Len() int { return q.h.Len() }
+func (q *BestFirstQueue) Len() int { return len(q.h.items) }
 
 // FocalQueue is the Aε* OPEN list of §3.4. FOCAL holds the states with
 // f(s') <= (1+ε)·min f(OPEN); Pop returns the FOCAL state preferred by the
@@ -69,39 +70,47 @@ func (q *BestFirstQueue) Len() int { return q.h.Len() }
 // does this) is simply queued again.
 type FocalQueue struct {
 	eps     float64
-	buckets []heapx.Heap[*State] // indexed by depth
+	buckets []openHeap // indexed by depth; keyed by focalKey
 	n       int
 }
 
-// NewFocalQueue returns an empty FOCAL queue with the given ε.
+// NewFocalQueue returns an empty FOCAL queue with the given ε. Its heaps
+// grow through arrays a finished solve released, when some are pooled
+// (see reuse.go).
 func NewFocalQueue(eps float64) *FocalQueue {
 	return &FocalQueue{eps: eps}
 }
 
 // Push inserts a state.
+//
+//icpp98:hotpath
 func (q *FocalQueue) Push(s *State) {
 	for len(q.buckets) <= int(s.depth) {
-		q.buckets = append(q.buckets, *heapx.New(FocalLess))
+		q.buckets = append(q.buckets, openHeap{focal: true}) //icpp98:allow hotpath one bucket per depth, at most v+1 per solve
 	}
-	q.buckets[s.depth].Push(s)
+	q.buckets[s.depth].push(openEntry{key: focalKey(s), s: s})
 	q.n++
 }
 
 // MinF returns the minimum f over queued states.
+//
+//icpp98:hotpath
 func (q *FocalQueue) MinF() (int32, bool) {
 	if q.n == 0 {
 		return 0, false
 	}
 	fmin := int32(1<<31 - 1)
 	for i := range q.buckets {
-		if b := &q.buckets[i]; b.Len() > 0 && b.Peek().f < fmin {
-			fmin = b.Peek().f
+		if b := &q.buckets[i]; len(b.items) > 0 && b.items[0].f() < fmin {
+			fmin = b.items[0].f()
 		}
 	}
 	return fmin, true
 }
 
 // Pop returns the deepest state within the FOCAL bound, or nil when empty.
+//
+//icpp98:hotpath
 func (q *FocalQueue) Pop() *State {
 	fmin, ok := q.MinF()
 	if !ok {
@@ -110,9 +119,9 @@ func (q *FocalQueue) Pop() *State {
 	bound := float64(fmin) * (1 + q.eps)
 	for d := len(q.buckets) - 1; ; d-- {
 		// The bucket holding the min-f state qualifies, so the scan stops.
-		if b := &q.buckets[d]; b.Len() > 0 && float64(b.Peek().f) <= bound {
+		if b := &q.buckets[d]; len(b.items) > 0 && float64(b.items[0].f()) <= bound {
 			q.n--
-			return b.Pop()
+			return b.pop()
 		}
 	}
 }

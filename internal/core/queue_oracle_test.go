@@ -123,3 +123,69 @@ func TestFocalQueueMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenHeapMatchesHeapx drives the keyed OPEN heap and a heapx.Heap of
+// the same states through one random push/pop sequence per order, Less
+// (the exact queue) and FocalLess within one depth (a FocalQueue bucket),
+// and requires the same state pointer from every pop. The states are drawn
+// to collide: negative f, negative depths and depths past the key's cap, g values that
+// differ below the key's resolution or fall outside [0, MaxCost], and
+// depths outside [0, 509], signatures equal in their top 32 bits or altogether, so equal keys (the
+// fallback to the full comparison) and fully tied states are common. Some
+// pushes re-push a popped pointer, as the parallel engine's load sharing
+// does.
+func TestOpenHeapMatchesHeapx(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	gs := []int32{-7, 0, 1, 63, 64, 65, 1000, MaxCost - 1, MaxCost, MaxCost + 9}
+	randState := func(focal bool) *State {
+		s := &State{
+			f:   int32(rng.Intn(9)) - 4,
+			g:   gs[rng.Intn(len(gs))],
+			sig: uint64(rng.Intn(3))<<32 | uint64(rng.Intn(3)),
+		}
+		if rng.Intn(4) == 0 {
+			s.f *= 1 << 28
+		}
+		if !focal {
+			s.depth = []int32{-3, -1, 0, 1, 2, 508, 509, 510, 511, 900}[rng.Intn(10)]
+		}
+		return s
+	}
+	for _, focal := range []bool{false, true} {
+		less := Less
+		if focal {
+			less = FocalLess
+		}
+		for seq := 0; seq < 40; seq++ {
+			h := &openHeap{focal: focal}
+			ref := heapx.New(less)
+			var popped []*State
+			for op := 0; op < 2000; op++ {
+				if r := rng.Intn(10); r < 6 || len(h.items) == 0 {
+					s := randState(focal)
+					if r == 0 && len(popped) > 0 {
+						s = popped[rng.Intn(len(popped))]
+					}
+					key := exactKey(s)
+					if focal {
+						key = focalKey(s)
+					}
+					h.push(openEntry{key: key, s: s})
+					ref.Push(s)
+					continue
+				}
+				if got := h.items[0].f(); got != ref.Peek().f {
+					t.Fatalf("focal=%v seq %d op %d: top f %d, reference %d", focal, seq, op, got, ref.Peek().f)
+				}
+				got, want := h.pop(), ref.Pop()
+				if got != want {
+					t.Fatalf("focal=%v seq %d op %d: popped %+v, reference %+v", focal, seq, op, *got, *want)
+				}
+				popped = append(popped, got)
+			}
+			if len(h.items) != ref.Len() {
+				t.Fatalf("focal=%v seq %d: %d entries left, reference %d", focal, seq, len(h.items), ref.Len())
+			}
+		}
+	}
+}

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"reflect"
-	"sync"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
 	"repro/internal/gen"
-	"repro/internal/heapx"
 	"repro/internal/procgraph"
 )
 
@@ -20,92 +18,47 @@ func TestStateSize(t *testing.T) {
 	}
 }
 
-// solveOutcome is everything a solve reports except its wall time.
-type solveOutcome struct {
-	Length      int32
-	Optimal     bool
-	BoundFactor float64
-	Stats       Stats
-	Place       string
-}
-
-func solveOutcomeOf(t testing.TB, m *Model, opt Options) solveOutcome {
-	res, err := SolveModel(m, opt)
-	if err != nil {
-		t.Error(err)
-		return solveOutcome{}
+// TestWarmSolveReusesEveryBuffer solves one instance repeatedly with the
+// collector off, so the pools keep what each solve hands back: once warm, a
+// solve must allocate less than one arena slab. Its arena, visited slots
+// and OPEN storage all come from the pools; what is left is the
+// per-solve bookkeeping (list schedule, expander scratch, result). One P
+// keeps every pooled buffer where the next Get looks first.
+func TestWarmSolveReusesEveryBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	res.Stats.WallTime = 0
-	return solveOutcome{
-		Length:      res.Length,
-		Optimal:     res.Optimal,
-		BoundFactor: res.BoundFactor,
-		Stats:       res.Stats,
-		Place:       fmt.Sprint(res.Schedule.Place),
-	}
-}
-
-func mustModel(t testing.TB, v int, ccr float64, seed uint64, sys *procgraph.System) *Model {
-	t.Helper()
-	m, err := NewModel(gen.MustRandom(gen.RandomConfig{V: v, CCR: ccr, Seed: seed}), sys)
+	// OPEN peaks near 58k states exact and 47k under ε, in over 100 arena
+	// slabs: every kind of buffer is large.
+	m, err := NewModel(gen.MustRandom(gen.RandomConfig{V: 12, CCR: 10, Seed: 6}), procgraph.Ring(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
-}
-
-// TestSolveReusesBuffersCleanly solves a small instance, a large one and
-// the small one again: the OPEN and visited buffers the first two solves
-// release are reused by the next, and must carry nothing over. Both small
-// solves must agree exactly, under the exact and the ε search.
-func TestSolveReusesBuffersCleanly(t *testing.T) {
-	small := mustModel(t, 8, 0.1, 1, procgraph.Complete(3))
-	large := mustModel(t, 12, 1, 6, procgraph.Ring(3))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20)) // a runaway solve still meets a collector
+	slab := uint64(arenaSlabSize * unsafe.Sizeof(State{}))
 	for _, opt := range []Options{{}, {Epsilon: 0.2}} {
-		first := solveOutcomeOf(t, small, opt)
-		if big := solveOutcomeOf(t, large, opt); big.Stats.VisitedSize <= visitedMinSize {
-			t.Fatalf("eps=%g: large solve visited %d states; it must outgrow a fresh table", opt.Epsilon, big.Stats.VisitedSize)
+		res, err := SolveModel(m, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if again := solveOutcomeOf(t, small, opt); !reflect.DeepEqual(first, again) {
-			t.Errorf("eps=%g: small solve after a large one differs:\nfirst: %+v\nagain: %+v", opt.Epsilon, first, again)
+		if res.Stats.VisitedSize <= 100*arenaSlabSize {
+			t.Fatalf("eps=%g: the solve keeps %d states; it must fill many arena slabs", opt.Epsilon, res.Stats.VisitedSize)
 		}
-	}
-}
-
-// TestConcurrentSolvesMatchSerial runs SolveModel from several goroutines
-// at once, so pooled buffers pass between concurrent solves; every result
-// must equal the serial one.
-func TestConcurrentSolvesMatchSerial(t *testing.T) {
-	models := []*Model{
-		mustModel(t, 8, 0.1, 1, procgraph.Complete(3)),
-		mustModel(t, 9, 1, 3, procgraph.Complete(3)),
-		mustModel(t, 12, 1, 6, procgraph.Ring(3)),
-	}
-	opts := []Options{{}, {Epsilon: 0.2}, {HFunc: HLoad}}
-	want := make([][]solveOutcome, len(models))
-	for i, m := range models {
-		for _, opt := range opts {
-			want[i] = append(want[i], solveOutcomeOf(t, m, opt))
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 2; round++ {
-				for k := range models {
-					i := (k + w) % len(models)
-					for j, opt := range opts {
-						if got := solveOutcomeOf(t, models[i], opt); !reflect.DeepEqual(got, want[i][j]) {
-							t.Errorf("worker %d model %d options %+v: concurrent %+v, serial %+v", w, i, opt, got, want[i][j])
-						}
-					}
-				}
+		const solves = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < solves; i++ {
+			if _, err := SolveModel(m, opt); err != nil {
+				t.Fatal(err)
 			}
-		}()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / solves; per >= slab {
+			t.Errorf("eps=%g: a warm solve allocates %d B, want less than one %d B arena slab", opt.Epsilon, per, slab)
+		}
 	}
-	wg.Wait()
 }
 
 // TestVisitedGrowsThroughItsOwnSizes pins the size classes: after a large
@@ -114,8 +67,8 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 // never takes, nor clears, a larger solve's slot array. Every array the
 // table grew through goes back to its pool empty.
 func TestVisitedGrowsThroughItsOwnSizes(t *testing.T) {
-	putSlots(make([]visEntry, reuseMaxSlots))
-	putSlots(make([]visEntry, 4*visitedMinSize))
+	visitedSlots.put(make([]visEntry, reuseMaxSlots))
+	visitedSlots.put(make([]visEntry, 4*visitedMinSize))
 	vt := NewVisited()
 	states := make([]State, 3*visitedMinSize)
 	want := visitedMinSize
@@ -131,11 +84,42 @@ func TestVisitedGrowsThroughItsOwnSizes(t *testing.T) {
 			t.Fatalf("after %d inserts the table has %d slots, want %d", i+1, len(vt.entries), want)
 		}
 	}
-	releaseBuffers(NewBestFirstQueue(), vt)
+	releaseBuffers(NewBestFirstQueue(), vt, NewArena())
 	for n := visitedMinSize; n <= want; n *= 2 {
-		for i, e := range takeSlots(n) {
+		for i, e := range visitedSlots.take(n) {
 			if e != (visEntry{}) {
 				t.Fatalf("pooled %d-slot array holds a state at slot %d", n, i)
+			}
+		}
+	}
+}
+
+// TestOpenHeapGrowsThroughPooledArrays checks the OPEN side of the size
+// classes: a heap takes openMinSize entries first and doubles, and every
+// array it grew through, and the last one after some pops, goes back to
+// its pool with no state left in it.
+func TestOpenHeapGrowsThroughPooledArrays(t *testing.T) {
+	q := NewBestFirstQueue()
+	states := make([]State, 5*openMinSize)
+	want := openMinSize
+	for i := range states {
+		if i == want {
+			want *= 2
+		}
+		states[i] = State{f: int32(i % 7), sig: uint64(i)}
+		q.Push(&states[i])
+		if c := cap(q.h.items); c != want {
+			t.Fatalf("after %d pushes the heap holds %d entries, want %d", i+1, c, want)
+		}
+	}
+	for i := 0; i < len(states)/2; i++ {
+		q.Pop()
+	}
+	releaseBuffers(q, &Visited{}, NewArena())
+	for n := openMinSize; n <= want; n *= 2 {
+		for i, e := range openEntries.take(n) {
+			if e != (openEntry{}) {
+				t.Fatalf("pooled %d-entry array holds a state at entry %d", n, i)
 			}
 		}
 	}
@@ -154,8 +138,8 @@ func BenchmarkSmallSolveAfterLarge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		large := &BestFirstQueue{h: heapx.NewWithCapacity(Less, reuseMaxSlots)}
-		releaseBuffers(large, &Visited{entries: make([]visEntry, reuseMaxSlots)})
+		large := &BestFirstQueue{h: openHeap{items: make([]openEntry, 0, reuseMaxSlots)}}
+		releaseBuffers(large, &Visited{entries: make([]visEntry, reuseMaxSlots)}, NewArena())
 		b.StartTimer()
 		if _, err := SolveModel(m, Options{}); err != nil {
 			b.Fatal(err)

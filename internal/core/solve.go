@@ -47,7 +47,8 @@ func SolveModel(m *Model, opt Options) (*Result, error) {
 	}
 	stats.UpperBound = ub
 
-	exp := m.NewExpander(opt, &stats)
+	arena := takeArena()
+	exp := m.newExpander(opt, &stats, arena)
 	exp.UB = ub
 
 	boundTracer, _ := opt.Tracer.(BoundTracer)
@@ -64,7 +65,7 @@ func SolveModel(m *Model, opt Options) (*Result, error) {
 	}
 	open := NewQueue(opt)
 	visited := NewVisited()
-	defer releaseBuffers(open, visited)
+	defer releaseBuffers(open, visited, arena)
 	emit := func(c *State) {
 		if c.Complete(m) {
 			if goalBest == nil || c.f < goalBest.f {

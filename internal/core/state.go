@@ -71,6 +71,15 @@ func (s *State) Sig() uint64 { return s.sig }
 // Complete reports whether the state schedules all v nodes of the model.
 func (s *State) Complete(m *Model) bool { return int(s.depth) == m.V }
 
+// Detach returns a copy of s with the parent link cleared: every field a
+// tracer reads, in memory of its own, so it stays valid after the arena
+// that held s is reused.
+func (s *State) Detach() State {
+	c := *s
+	c.parent = nil
+	return c
+}
+
 // Root returns the initial empty state Φ with f(Φ) = 0. The root is the one
 // state allocated outside the arena: it predates the first expansion and is
 // shared freely.
@@ -192,7 +201,7 @@ const visitedMinSize = 1024
 // NewVisited returns an empty table. Its slot arrays come from, and on
 // growth go back to, the pools in reuse.go.
 func NewVisited() *Visited {
-	return &Visited{entries: takeSlots(visitedMinSize)}
+	return &Visited{entries: visitedSlots.take(visitedMinSize)}
 }
 
 // visInsert is the one probe-and-insert implementation every visited table

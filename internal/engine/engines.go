@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"repro/internal/bnb"
 	"repro/internal/core"
@@ -25,12 +27,41 @@ func (e *funcEngine) Name() string { return e.name }
 
 func (e *funcEngine) Describe() (string, string) { return e.section, e.desc }
 
+// Solve runs the engine and validates its result: every engine's result
+// leaves the registry through here, whichever layer asked for it.
 func (e *funcEngine) Solve(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
 	opt := searchOptions(ctx, cfg)
 	if e.epsilon != nil {
 		opt.Epsilon = e.epsilon(cfg.Epsilon)
 	}
-	return e.solve(m, opt, cfg)
+	res, err := e.solve(m, opt, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkResult(res); err != nil {
+		return nil, fmt.Errorf("%w: engine %s: %v", ErrInvalidResult, e.name, err)
+	}
+	return res, nil
+}
+
+// ErrInvalidResult marks a result an engine returned that is not a
+// feasible schedule of the length it reports: an engine bug, never an
+// input the caller can fix.
+var ErrInvalidResult = errors.New("engine: invalid result")
+
+// checkResult requires res to carry a feasible schedule whose length is
+// the length res reports.
+func checkResult(res *core.Result) error {
+	if res == nil || res.Schedule == nil {
+		return errors.New("no schedule")
+	}
+	if err := res.Schedule.Validate(); err != nil {
+		return err
+	}
+	if res.Schedule.Length != res.Length {
+		return fmt.Errorf("schedule length %d, result reports %d", res.Schedule.Length, res.Length)
+	}
+	return nil
 }
 
 // searchOptions builds from cfg the search settings every engine shares,

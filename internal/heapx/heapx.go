@@ -1,7 +1,8 @@
-// Package heapx provides a small generic binary min-heap used for the OPEN,
-// FOCAL, and pending lists of the search engines. It is a plain slice-based
+// Package heapx provides a small generic binary min-heap: the bnb engine's
+// OPEN list and the list scheduler's ready list. It is a plain slice-based
 // heap (no container/heap interface indirection) because heap operations sit
-// on the hot path of every state expansion.
+// on the hot path of every state expansion. The A* engines' OPEN lists use
+// core's keyed heap instead.
 package heapx
 
 // Heap is a binary min-heap ordered by the less function supplied at
@@ -55,28 +56,6 @@ func (h *Heap[T]) Pop() T {
 	}
 	return top
 }
-
-// Clear removes all elements, keeping the underlying storage.
-func (h *Heap[T]) Clear() {
-	var zero T
-	for i := range h.items {
-		h.items[i] = zero
-	}
-	h.items = h.items[:0]
-}
-
-// Drain pops every element in heap order into a new slice.
-func (h *Heap[T]) Drain() []T {
-	out := make([]T, 0, len(h.items))
-	for h.Len() > 0 {
-		out = append(out, h.Pop())
-	}
-	return out
-}
-
-// Items exposes the raw backing slice in heap (not sorted) order; used for
-// load-balancing scans. The caller must not reorder it.
-func (h *Heap[T]) Items() []T { return h.items }
 
 //icpp98:hotpath
 func (h *Heap[T]) up(i int) {

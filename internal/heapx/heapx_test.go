@@ -38,7 +38,10 @@ func TestHeapSortProperty(t *testing.T) {
 		for _, x := range xs {
 			h.Push(x)
 		}
-		got := h.Drain()
+		var got []int
+		for h.Len() > 0 {
+			got = append(got, h.Pop())
+		}
 		want := append([]int(nil), xs...)
 		sort.Ints(want)
 		if len(got) != len(want) {
@@ -80,34 +83,6 @@ func TestInterleavedOps(t *testing.T) {
 			}
 			mirror = append(mirror[:mi], mirror[mi+1:]...)
 		}
-	}
-}
-
-func TestClearAndCapacity(t *testing.T) {
-	h := NewWithCapacity(func(a, b int) bool { return a < b }, 64)
-	for i := 0; i < 10; i++ {
-		h.Push(i)
-	}
-	h.Clear()
-	if h.Len() != 0 {
-		t.Fatal("clear failed")
-	}
-	h.Push(3)
-	if h.Pop() != 3 {
-		t.Fatal("heap broken after clear")
-	}
-}
-
-func TestItemsExposure(t *testing.T) {
-	h := intHeap()
-	for i := 5; i > 0; i-- {
-		h.Push(i)
-	}
-	if len(h.Items()) != 5 {
-		t.Fatalf("items len = %d", len(h.Items()))
-	}
-	if h.Items()[0] != 1 {
-		t.Fatalf("items[0] = %d, want the minimum", h.Items()[0])
 	}
 }
 

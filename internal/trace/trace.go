@@ -13,6 +13,12 @@
 // Recording every generated state costs memory proportional to the search,
 // so tracing is meant for worked examples and debugging, not for the
 // benchmark sweeps.
+//
+// A *core.State an engine hands a tracer is valid only until the solve
+// returns: the serial engine reuses its state arena for the next solve.
+// Each Node therefore keeps its own copy of the state it records, with no
+// parent link (core.State.Detach), so a tree outlives the solve that built
+// it. A Recorder records one search.
 package trace
 
 import (
@@ -28,8 +34,10 @@ import (
 
 // Node is one recorded search state.
 type Node struct {
-	// State is the engine's state; nil only for the synthetic root of a
-	// tree whose true initial state was never observed.
+	// State is a copy of the engine's state taken when it was first
+	// recorded, with no parent link (walk the tree instead); nil only for
+	// the synthetic root of a tree whose true initial state was never
+	// observed.
 	State *core.State
 	// Children in generation order.
 	Children []*Node
@@ -43,7 +51,8 @@ type Node struct {
 	// GenPPE is the PPE whose expander generated this state (-1 in a
 	// serial search or for the root).
 	GenPPE int
-	seq    int64 // global arrival order, used to sort children
+	seq    int64      // global arrival order, used to sort children
+	snap   core.State // what State points to
 }
 
 // Goal reports whether the node's state schedules all v nodes.
@@ -57,7 +66,7 @@ type Recorder struct {
 	g *taskgraph.Graph
 
 	mu     sync.Mutex
-	nodes  map[*core.State]*Node
+	nodes  map[*core.State]*Node // by the engine's pointer, while it runs
 	root   *Node
 	seq    int64
 	orders map[int]int // next expansion order per PPE (-1 = serial)
@@ -102,7 +111,8 @@ func (r *Recorder) lookup(s *core.State) *Node {
 	if n, ok := r.nodes[s]; ok {
 		return n
 	}
-	n := &Node{State: s, ExpandOrder: -1, ExpandPPE: -1, GenPPE: -1, seq: r.seq}
+	n := &Node{ExpandOrder: -1, ExpandPPE: -1, GenPPE: -1, seq: r.seq, snap: s.Detach()}
+	n.State = &n.snap
 	r.seq++
 	r.nodes[s] = n
 	if s.Parent() == nil {

@@ -250,9 +250,9 @@ func TestEmptyRecorder(t *testing.T) {
 }
 
 // TestRecordedTreeOutlivesSolve asserts a Recorder's tree still reads the
-// same after ten later solves. The tree holds the solve's *core.State
-// pointers, so the states' arena must not be handed to later solves the
-// way their OPEN and visited buffers are.
+// same after ten later solves. Those solves reuse the arena that held the
+// recorded states, so the tree must keep copies of them, not the engine's
+// *core.State pointers.
 func TestRecordedTreeOutlivesSolve(t *testing.T) {
 	rec, _ := fig3Tree(t)
 	render := func() string {
