@@ -11,14 +11,11 @@
 //	icpp98bench -experiment engines           # every registry engine head-to-head
 //	icpp98bench -experiment large             # v > 64: Aε*/portfolio at 80/128/256
 //	icpp98bench -experiment speedup           # native engine: real multi-core scaling
-//	icpp98bench -experiment serve             # serving tier under load: jobs/sec, cache, p50/p99
 //	icpp98bench -experiment all               # everything
 //
-// -checkserve <path> validates an existing BENCH_serve.json instead of
-// running anything: the file must parse, carry the serve SLO summary
-// (jobs/sec, cache hit rate, latency percentiles, per-stage span
-// percentiles), and record no gate failures. CI uses it to keep the
-// committed baseline well-formed.
+// Serving-tier load is measured by the repository benchmark, not here:
+// `bash perf/run.sh --workload serve-warm` (or serve-cold) drives a live
+// daemon and reports latency, throughput and the per-stage span split.
 //
 // -checkmetrics <url|path> lints a Prometheus text exposition — a live
 // daemon's /metrics scraped over HTTP, or a saved page — against the
@@ -35,10 +32,11 @@
 // directory; with a directory (existing, or any path ending in a path
 // separator), tables go to <dir>/BENCH_<experiment>.md (or .csv) and JSON to
 // <dir>/BENCH_<experiment>.json; with os.DevNull everything is discarded.
-// The speedup experiment doubles as a determinism gate: if any native-engine
-// cell disagrees with serial A* on the optimum (or reports a BoundFactor
-// other than 1 for a proven cell), the process exits non-zero after writing
-// the reports.
+// Every experiment is a gate: an engine error fails the run, naming the
+// engine and the instance, and the speedup and pruning experiments add
+// their own invariants (native cells must match serial A*'s optimum with a
+// BoundFactor of 1; proven pruning variants must agree). The process exits
+// non-zero after writing the reports when any gate failed.
 package main
 
 import (
@@ -58,7 +56,7 @@ import (
 
 func main() {
 	var (
-		experiment   = flag.String("experiment", "all", "table1 | fig6 | fig7 | ablation | pruning | distribution | deviation | engines | large | speedup | serve | all")
+		experiment   = flag.String("experiment", "all", "table1 | fig6 | fig7 | ablation | pruning | distribution | deviation | engines | large | speedup | all")
 		sizes        = flag.String("sizes", "", "comma-separated graph sizes (default 10,12,14,16; speedup: 80,128)")
 		ccrs         = flag.String("ccrs", "", "comma-separated CCRs (default 0.1,1,10)")
 		ppes         = flag.String("ppes", "", "comma-separated PPE/worker counts for fig6 and speedup (default 2,4,8,16; speedup: 1,2,4,8)")
@@ -73,23 +71,10 @@ func main() {
 		out          = flag.String("out", "", "output path: a file for the tables, or a directory for per-experiment files; controls where -json reports land (default: stdout + CWD)")
 		jsonOut      = flag.Bool("json", false, "also write a machine-readable BENCH_<experiment>.json per experiment (next to -out)")
 		procs        = flag.Int("procs", 0, "target PEs per instance (0 = v, the paper's setting)")
-		rate         = flag.Float64("rate", 0, "serve: offered load in requests/sec (0 = 25)")
-		duration     = flag.Duration("duration", 0, "serve: load-phase length (0 = 3s)")
-		corpus       = flag.Int("corpus", 0, "serve: distinct instances in the mixed corpus (0 = 5)")
-		servev       = flag.Int("servev", 0, "serve: nodes per corpus instance (0 = 20)")
-		checkServe   = flag.String("checkserve", "", "validate an existing BENCH_serve.json (parses, SLO fields present, no failures) and exit")
 		checkMetrics = flag.String("checkmetrics", "", "lint a Prometheus text exposition (a http(s):// URL to scrape, or a file path) and exit")
-		queueSLO     = flag.Duration("queue-slo", 0, "serve: fail the run when queue-wait p99 exceeds this (0 = no gate)")
 	)
 	flag.Parse()
 
-	if *checkServe != "" {
-		if err := bench.CheckServeReport(*checkServe); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "%s: ok\n", *checkServe)
-		return
-	}
 	if *checkMetrics != "" {
 		page, err := readMetricsPage(*checkMetrics)
 		if err != nil {
@@ -106,16 +91,11 @@ func main() {
 	}
 
 	cfg := bench.Config{
-		Seed:          *seed,
-		CellBudget:    *budget,
-		CellTimeout:   *timeout,
-		Fig7PPEs:      *fig7ppes,
-		PeriodFloor:   *floor,
-		ServeRate:     *rate,
-		ServeDuration: *duration,
-		ServeCorpus:   *corpus,
-		ServeV:        *servev,
-		ServeQueueSLO: *queueSLO,
+		Seed:        *seed,
+		CellBudget:  *budget,
+		CellTimeout: *timeout,
+		Fig7PPEs:    *fig7ppes,
+		PeriodFloor: *floor,
 	}
 	if *full {
 		cfg.Sizes = bench.Full().Sizes
@@ -169,8 +149,6 @@ func main() {
 			res = bench.RunLarge(cfg)
 		case "speedup":
 			res = bench.RunSpeedup(cfg)
-		case "serve":
-			res = bench.RunServe(cfg)
 		default:
 			fatal(fmt.Errorf("unknown experiment %q", name))
 		}
@@ -200,16 +178,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 			}
 		}
-		// Experiments with a built-in correctness gate (speedup's native-vs-
-		// serial determinism check) fail the whole process after reporting.
-		if g, ok := res.(interface{ FailureList() []string }); ok {
-			gateFailures = append(gateFailures, g.FailureList()...)
-		}
+		// A gate failure (an engine error, or an experiment's own invariant)
+		// fails the whole process after reporting.
+		gateFailures = append(gateFailures, res.FailureList()...)
 		fmt.Fprintf(os.Stderr, "%s done in %v\n", name, time.Since(started).Round(time.Millisecond))
 	}
 
 	if *experiment == "all" {
-		for _, name := range []string{"table1", "fig6", "fig7", "ablation", "pruning", "distribution", "deviation", "engines", "large", "speedup", "serve"} {
+		for _, name := range []string{"table1", "fig6", "fig7", "ablation", "pruning", "distribution", "deviation", "engines", "large", "speedup"} {
 			run(name)
 		}
 	} else {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -27,6 +26,7 @@ type AblationRow struct {
 type AblationResult struct {
 	Rows   []AblationRow
 	Config Config
+	gate
 }
 
 // serialVariants enumerates the ablated configurations of the serial engine.
@@ -63,7 +63,11 @@ func RunAblation(cfg Config) *AblationResult {
 				ecfg := variant.Cfg
 				ecfg.MaxExpanded = cfg.CellBudget
 				ecfg.Timeout = cfg.CellTimeout
-				c := runCell("astar", g, sys, ecfg)
+				c, err := runCell("astar", g, sys, ecfg)
+				if err != nil {
+					res.failf("ablation %s: %v", variant.Name, err)
+					continue
+				}
 				res.Rows = append(res.Rows, AblationRow{
 					CCR: ccr, V: v, Variant: variant.Name,
 					Time: c.Time, Expanded: c.Expanded, Length: c.Length, Optimal: c.Optimal,
@@ -110,6 +114,7 @@ type DistributionRow struct {
 type DistributionResult struct {
 	Rows   []DistributionRow
 	Config Config
+	gate
 }
 
 // RunDistribution measures both distribution policies across PPE counts.
@@ -126,8 +131,12 @@ func RunDistribution(cfg Config) *DistributionResult {
 	for _, ccr := range cfg.CCRs {
 		for _, v := range cfg.Sizes {
 			g, sys := cfg.instance(ccr, v)
-			serial, err := engine.Solve(context.Background(), "astar", g, sys, cfg.cellConfig())
-			if err != nil || !serial.Optimal {
+			serial, _, err := solve("astar", g, sys, cfg.cellConfig())
+			if err != nil {
+				res.failf("distribution: %v", err)
+				continue
+			}
+			if !serial.Optimal {
 				continue
 			}
 			for _, q := range cfg.PPEs {
@@ -137,14 +146,14 @@ func RunDistribution(cfg Config) *DistributionResult {
 					pcfg.Distribution = pol.Dist
 					pcfg.PeriodFloor = cfg.PeriodFloor
 					pcfg.MaxExpanded = cfg.CellBudget * int64(q)
-					start := time.Now()
-					par, err := engine.Solve(context.Background(), "parallel", g, sys, pcfg)
+					par, parTime, err := solve("parallel", g, sys, pcfg)
 					if err != nil {
+						res.failf("distribution %s PPEs=%d: %v", pol.Name, q, err)
 						continue
 					}
 					row := DistributionRow{
 						CCR: ccr, V: v, PPEs: q, Policy: pol.Name,
-						Time:      time.Since(start),
+						Time:      parTime,
 						Expanded:  par.Stats.Expanded,
 						WorkRatio: float64(par.Stats.Expanded) / float64(serial.Stats.Expanded),
 						Optimal:   par.Optimal,

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/procgraph"
 	"repro/internal/taskgraph"
@@ -55,20 +56,6 @@ type Config struct {
 	// PeriodFloor is the parallel engine's minimum communication period
 	// (0 = the paper's 2).
 	PeriodFloor int
-	// ServeRate is the serve experiment's offered load in requests/sec
-	// (0 = 25).
-	ServeRate float64
-	// ServeDuration is how long the serve load phase runs (0 = 3s); the
-	// request count is rate × duration, floored at two corpus passes.
-	ServeDuration time.Duration
-	// ServeCorpus is the serve experiment's distinct-instance count (0 = 5).
-	ServeCorpus int
-	// ServeV sizes the serve corpus instances (0 = 20 nodes).
-	ServeV int
-	// ServeQueueSLO gates the serve experiment on queue-wait p99 (from the
-	// jobs' trace spans): a run whose p99 queue wait exceeds it fails.
-	// 0 disables the gate.
-	ServeQueueSLO time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -93,18 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.Fig7PPEs == 0 {
 		c.Fig7PPEs = 16
 	}
-	if c.ServeRate == 0 {
-		c.ServeRate = 25
-	}
-	if c.ServeDuration == 0 {
-		c.ServeDuration = 3 * time.Second
-	}
-	if c.ServeCorpus == 0 {
-		c.ServeCorpus = 5
-	}
-	if c.ServeV == 0 {
-		c.ServeV = 20
-	}
 	return c
 }
 
@@ -124,18 +99,58 @@ func (c Config) cellConfig() engine.Config {
 	return engine.Config{MaxExpanded: c.CellBudget, Timeout: c.CellTimeout}
 }
 
-// runCell measures one registry engine on one instance under ecfg. Every
-// harness cell flows through this single entry point, so adding an engine
-// to the registry adds it to the benchmarks without new harness code.
-func runCell(name string, g *taskgraph.Graph, sys *procgraph.System, ecfg engine.Config) cellResult {
+// cellResult is one measured run of one engine on one instance.
+type cellResult struct {
+	Time        time.Duration
+	Expanded    int64
+	Length      int32
+	Optimal     bool
+	PrunedEquiv int64
+	PrunedFTO   int64
+}
+
+// solve runs one registry engine on one instance under ecfg and times it.
+// Every harness measurement flows through this single entry point, so
+// adding an engine to the registry adds it to the benchmarks without new
+// harness code. An engine error names the engine and the instance, and
+// the experiment reports it as a gate failure: the tables render a cell
+// that hit its budget as "—", and a failed engine must never read as one.
+func solve(name string, g *taskgraph.Graph, sys *procgraph.System, ecfg engine.Config) (*core.Result, time.Duration, error) {
 	start := time.Now()
 	r, err := engine.Solve(context.Background(), name, g, sys, ecfg)
 	if err != nil {
-		return cellResult{}
+		return nil, 0, fmt.Errorf("%s on %s (%s): %w", name, g.Name(), sys.Name(), err)
+	}
+	return r, time.Since(start), nil
+}
+
+// runCell is solve reduced to the counters the tables report.
+func runCell(name string, g *taskgraph.Graph, sys *procgraph.System, ecfg engine.Config) (cellResult, error) {
+	r, d, err := solve(name, g, sys, ecfg)
+	if err != nil {
+		return cellResult{}, err
 	}
 	// A censored run may carry no schedule (bnb cut off before any goal);
 	// its effort stats are still the datum the tables report.
-	return cellResult{Time: time.Since(start), Expanded: r.Stats.Expanded, Length: r.Length, Optimal: r.Optimal}
+	return cellResult{
+		Time: d, Expanded: r.Stats.Expanded, Length: r.Length, Optimal: r.Optimal,
+		PrunedEquiv: r.Stats.PrunedEquiv, PrunedFTO: r.Stats.PrunedFTO,
+	}, nil
+}
+
+// gate is the correctness gate every experiment result embeds: an engine
+// error or a violated invariant appends one line, and cmd/icpp98bench
+// exits non-zero when any experiment reports one.
+type gate struct {
+	// Failures lists the gate violations, one line each.
+	Failures []string
+}
+
+// FailureList exposes the gate result to cmd/icpp98bench.
+func (g *gate) FailureList() []string { return g.Failures }
+
+func (g *gate) failf(format string, args ...any) {
+	g.Failures = append(g.Failures, fmt.Sprintf(format, args...))
 }
 
 func fmtDuration(d time.Duration) string {

@@ -161,6 +161,9 @@ func TestRunEngines(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Sizes = []int{8}
 	res := RunEngines(cfg)
+	if f := res.FailureList(); len(f) > 0 {
+		t.Fatalf("engines experiment failed its gate: %v", f)
+	}
 	if len(res.Rows) < 5 {
 		t.Fatalf("got %d rows; want one per registered engine (>= 5)", len(res.Rows))
 	}
@@ -184,6 +187,34 @@ func TestRunEngines(t *testing.T) {
 	}
 	if !strings.Contains(md.String(), "Engine comparison") {
 		t.Error("markdown missing title")
+	}
+}
+
+// An engine error must come back as an error naming the engine and the
+// instance, never as a cell: the tables render a budget cut-off as "—",
+// and a failed engine must not read as one. The experiment turns the
+// error into a gate failure, which Write prints and cmd/icpp98bench exits
+// non-zero on.
+func TestEngineErrorFailsTheGate(t *testing.T) {
+	cfg := fastCfg().withDefaults()
+	g, sys := cfg.instance(1.0, 8)
+	c, err := runCell("no-such-engine", g, sys, cfg.cellConfig())
+	if err == nil {
+		t.Fatalf("unknown engine measured as cell %+v, want an error", c)
+	}
+	for _, want := range []string{"no-such-engine", g.Name(), sys.Name()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	res := &EnginesResult{Config: cfg}
+	res.failf("engines: %v", err)
+	var md bytes.Buffer
+	if err := Write(&md, "md", res); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(md.String(), "GATE FAILURE: engines: no-such-engine on "+g.Name()) {
+		t.Errorf("report does not carry the gate failure:\n%s", md.String())
 	}
 }
 

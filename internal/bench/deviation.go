@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/listsched"
 )
 
@@ -23,6 +21,7 @@ type DeviationResult struct {
 	CCRs   []float64
 	Blocks map[float64][]DeviationRow
 	Config Config
+	gate
 }
 
 // RunDeviation measures the study the paper's introduction motivates:
@@ -42,13 +41,18 @@ func RunDeviation(cfg Config) *DeviationResult {
 		}
 		for _, v := range cfg.Sizes {
 			g, sys := cfg.instance(ccr, v)
-			ref, err := engine.Solve(context.Background(), "astar", g, sys, cfg.cellConfig())
-			if err != nil || !ref.Optimal {
+			ref, _, err := solve("astar", g, sys, cfg.cellConfig())
+			if err != nil {
+				res.failf("deviation: %v", err)
+				continue
+			}
+			if !ref.Optimal {
 				continue // no proven reference for this instance
 			}
 			for i, alg := range algs {
 				s, err := alg.Run(g, sys)
 				if err != nil {
+					res.failf("deviation: %s on %s: %v", alg.Name, g.Name(), err)
 					continue
 				}
 				dev := 100 * (float64(s.Length) - float64(ref.Length)) / float64(ref.Length)

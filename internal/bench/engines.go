@@ -26,6 +26,7 @@ type EngineRow struct {
 type EnginesResult struct {
 	Rows   []EngineRow
 	Config Config
+	gate
 }
 
 // RunEngines measures every registered engine per CCR and size, under the
@@ -38,7 +39,11 @@ func RunEngines(cfg Config) *EnginesResult {
 			g, sys := cfg.instance(ccr, v)
 			for _, e := range engine.All() {
 				section, _ := engine.Describe(e)
-				c := runCell(e.Name(), g, sys, cfg.cellConfig())
+				c, err := runCell(e.Name(), g, sys, cfg.cellConfig())
+				if err != nil {
+					res.failf("engines: %v", err)
+					continue
+				}
 				res.Rows = append(res.Rows, EngineRow{
 					CCR: ccr, V: v, Engine: e.Name(), Section: section,
 					Time: c.Time, Expanded: c.Expanded, Length: c.Length, Optimal: c.Optimal,

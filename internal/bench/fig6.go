@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"time"
-
-	"repro/internal/engine"
 )
 
 // Fig6Point is one (v, q) measurement of the parallel A*.
@@ -31,6 +27,7 @@ type Fig6Result struct {
 	CCRs   []float64
 	Series map[float64][]Fig6Point
 	Config Config
+	gate
 }
 
 // RunFig6 regenerates Figure 6: speedups of the parallel A* over the serial
@@ -41,23 +38,21 @@ func RunFig6(cfg Config) *Fig6Result {
 	for _, ccr := range cfg.CCRs {
 		for _, v := range cfg.Sizes {
 			g, sys := cfg.instance(ccr, v)
-			serialStart := time.Now()
-			serial, err := engine.Solve(context.Background(), "astar", g, sys, cfg.cellConfig())
+			serial, serialTime, err := solve("astar", g, sys, cfg.cellConfig())
 			if err != nil {
+				res.failf("fig6: %v", err)
 				continue
 			}
-			serialTime := time.Since(serialStart)
 			for _, q := range cfg.PPEs {
 				pcfg := cfg.cellConfig()
 				pcfg.PPEs = q
 				pcfg.PeriodFloor = cfg.PeriodFloor
 				pcfg.MaxExpanded = cfg.CellBudget * int64(q)
-				parStart := time.Now()
-				par, err := engine.Solve(context.Background(), "parallel", g, sys, pcfg)
+				par, parTime, err := solve("parallel", g, sys, pcfg)
 				if err != nil {
+					res.failf("fig6 PPEs=%d: %v", q, err)
 					continue
 				}
-				parTime := time.Since(parStart)
 				pt := Fig6Point{
 					V:           v,
 					PPEs:        q,

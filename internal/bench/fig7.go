@@ -1,11 +1,7 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"time"
-
-	"repro/internal/engine"
 )
 
 // Fig7Point is one (v, ε) measurement of the parallel Aε* against the
@@ -28,6 +24,7 @@ type Fig7Result struct {
 	Epsilons []float64
 	Series   map[float64]map[float64][]Fig7Point // ccr -> eps -> points
 	Config   Config
+	gate
 }
 
 // RunFig7 regenerates Figure 7: percentage deviation from optimal and
@@ -49,21 +46,19 @@ func RunFig7(cfg Config) *Fig7Result {
 			pcfg.PPEs = q
 			pcfg.PeriodFloor = cfg.PeriodFloor
 			pcfg.MaxExpanded = cfg.CellBudget * int64(q)
-			exactStart := time.Now()
-			exact, err := engine.Solve(context.Background(), "parallel", g, sys, pcfg)
+			exact, exactTime, err := solve("parallel", g, sys, pcfg)
 			if err != nil {
+				res.failf("fig7: %v", err)
 				continue
 			}
-			exactTime := time.Since(exactStart)
 			for _, eps := range cfg.Epsilons {
 				acfg := pcfg
 				acfg.Epsilon = eps
-				approxStart := time.Now()
-				approx, err := engine.Solve(context.Background(), "parallel", g, sys, acfg)
+				approx, approxTime, err := solve("parallel", g, sys, acfg)
 				if err != nil {
+					res.failf("fig7 ε=%g: %v", eps, err)
 					continue
 				}
-				approxTime := time.Since(approxStart)
 				pt := Fig7Point{
 					V:            v,
 					Epsilon:      eps,

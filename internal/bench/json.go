@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 )
@@ -15,15 +14,16 @@ import (
 // tooling instead of read off markdown tables.
 
 // Result is the surface every experiment result shares: its tables, which
-// Write renders in a human format and WriteJSON exports. Every Run*
-// constructor returns one.
+// Write renders in a human format and WriteJSON exports, and its gate
+// failures (engine errors and broken invariants), on which cmd/icpp98bench
+// exits non-zero. Every Run* constructor returns one.
 type Result interface {
 	Tables() []*table
+	FailureList() []string
 }
 
 // Write renders r's tables as CSV when format is "csv" and as Markdown
-// otherwise, then one line per gate failure when r is a gated experiment
-// (it has a FailureList).
+// otherwise, then one line per gate failure.
 func Write(w io.Writer, format string, r Result) error {
 	for _, t := range r.Tables() {
 		var err error
@@ -36,11 +36,9 @@ func Write(w io.Writer, format string, r Result) error {
 			return err
 		}
 	}
-	if g, ok := r.(interface{ FailureList() []string }); ok {
-		for _, f := range g.FailureList() {
-			if _, err := fmt.Fprintf(w, "GATE FAILURE: %s\n", f); err != nil {
-				return err
-			}
+	for _, f := range r.FailureList() {
+		if _, err := fmt.Fprintf(w, "GATE FAILURE: %s\n", f); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -124,7 +122,6 @@ type JSONReport struct {
 	Engines     []EngineRecord  `json:"engines,omitempty"`
 	Speedup     []SpeedupRecord `json:"speedup,omitempty"`
 	Pruning     []PruningRecord `json:"pruning,omitempty"`
-	Serve       *ServeSummary   `json:"serve,omitempty"`
 	Failures    []string        `json:"failures,omitempty"`
 	Tables      []TableJSON     `json:"tables"`
 }
@@ -212,60 +209,18 @@ func (r *PruningResult) Records() []PruningRecord {
 	return out
 }
 
-// CheckServeReport validates a BENCH_serve.json on disk: it must parse as
-// a JSONReport of the serve experiment, carry the SLO summary fields the
-// dashboard consumes (requests served, jobs/sec, latency percentiles), and
-// record no gate failures. This is the CI-side half of the serve gate: the
-// experiment exits non-zero when a gate trips, and this keeps the committed
-// baseline itself from rotting into an unparseable or failure-carrying file.
-func CheckServeReport(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep JSONReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Experiment != "serve" {
-		return fmt.Errorf("%s: experiment is %q, want \"serve\"", path, rep.Experiment)
-	}
-	if rep.Serve == nil {
-		return fmt.Errorf("%s: missing serve summary", path)
-	}
-	if len(rep.Failures) > 0 {
-		return fmt.Errorf("%s: report carries %d gate failures (first: %s)", path, len(rep.Failures), rep.Failures[0])
-	}
-	s := rep.Serve
-	switch {
-	case s.Requests <= 0:
-		return fmt.Errorf("%s: serve summary reports %d requests", path, s.Requests)
-	case s.JobsPerSec <= 0:
-		return fmt.Errorf("%s: serve summary reports %.2f jobs/sec", path, s.JobsPerSec)
-	case s.P50MS <= 0 || s.P99MS <= 0:
-		return fmt.Errorf("%s: serve summary is missing latency percentiles (p50=%.3fms p99=%.3fms)", path, s.P50MS, s.P99MS)
-	case s.HitRate <= 0 || s.HitRate > 1:
-		return fmt.Errorf("%s: cache hit rate %.3f outside (0, 1]", path, s.HitRate)
-	case s.SolveP50MS <= 0:
-		return fmt.Errorf("%s: serve summary is missing per-stage span percentiles (solve p50=%.3fms)", path, s.SolveP50MS)
-	case s.QueueP99MS < s.QueueP50MS:
-		return fmt.Errorf("%s: queue p99 %.3fms below p50 %.3fms", path, s.QueueP99MS, s.QueueP50MS)
-	}
-	return nil
-}
-
 // WriteJSON writes the machine-readable report of one experiment run.
 func WriteJSON(w io.Writer, name string, r Result) error {
 	rep := JSONReport{
 		Experiment:  name,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Failures:    r.FailureList(),
 	}
 	if er, ok := r.(*EnginesResult); ok {
 		rep.Engines = er.Records()
 	}
 	if sr, ok := r.(*SpeedupResult); ok {
 		rep.Speedup = sr.Records()
-		rep.Failures = sr.Failures
 		rep.Host = &HostInfo{
 			GOOS:       runtime.GOOS,
 			GOARCH:     runtime.GOARCH,
@@ -275,17 +230,6 @@ func WriteJSON(w io.Writer, name string, r Result) error {
 	}
 	if pr, ok := r.(*PruningResult); ok {
 		rep.Pruning = pr.Records()
-		rep.Failures = pr.Failures
-	}
-	if sv, ok := r.(*ServeResult); ok {
-		rep.Serve = &sv.Summary
-		rep.Failures = sv.Failures
-		rep.Host = &HostInfo{
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-		}
 	}
 	for _, t := range r.Tables() {
 		rep.Tables = append(rep.Tables, TableJSON{

@@ -37,6 +37,7 @@ type LargeRow struct {
 type LargeResult struct {
 	Rows   []LargeRow
 	Config Config
+	gate
 }
 
 // largeSizes are the node counts of the experiment, all past the old
@@ -62,7 +63,9 @@ func RunLarge(cfg Config) *LargeResult {
 		g, sys, err := largeInstance(v, cfg.Seed)
 		if err != nil {
 			// Every planned cell appears in the report: a failure renders as
-			// an err: row rather than silently vanishing from the table.
+			// an err: row rather than silently vanishing from the table, and
+			// fails the run.
+			res.failf("large v=%d: %v", v, err)
 			res.Rows = append(res.Rows,
 				LargeRow{V: v, Mode: "aeps (err: " + err.Error() + ")"},
 				LargeRow{V: v, Mode: "portfolio (err: " + err.Error() + ")"})
@@ -80,6 +83,7 @@ func RunLarge(cfg Config) *LargeResult {
 				Expanded: r.Stats.Expanded, Length: r.Length, Optimal: r.Optimal, Bound: r.BoundFactor,
 			})
 		} else {
+			res.failf("large v=%d: aeps: %v", v, err)
 			res.Rows = append(res.Rows, LargeRow{V: v, Mode: "aeps (err: " + err.Error() + ")", Time: time.Since(start)})
 		}
 
@@ -96,6 +100,7 @@ func RunLarge(cfg Config) *LargeResult {
 			}
 			res.Rows = append(res.Rows, row)
 		} else {
+			res.failf("large v=%d: portfolio: %v", v, err)
 			res.Rows = append(res.Rows, LargeRow{V: v, Mode: "portfolio (err: " + err.Error() + ")", Time: time.Since(start)})
 		}
 	}

@@ -1,14 +1,15 @@
 package bench
 
 // A hand-rolled linter for the Prometheus text exposition format
-// (version 0.0.4) — the format internal/server's /metrics emits and the
-// serve experiment scrapes. The repository takes no dependencies, so the
-// checks a `promtool check metrics` would run live here instead:
-// LintMetrics validates a whole scrape page and returns every violation.
-// cmd/icpp98bench exposes it as -checkmetrics (URL or file), and the
-// serve experiment runs it against the live daemon it load-tests, so a
-// malformed metric family fails the serve gate before a real scraper
-// chokes on it.
+// (version 0.0.4) — the format internal/server's /metrics emits. The
+// repository takes no dependencies, so the checks a `promtool check
+// metrics` would run live here instead: LintMetrics validates a whole
+// scrape page and returns every violation. cmd/icpp98bench exposes it as
+// -checkmetrics (URL or file); CI points that at a live daemon's /metrics,
+// and the server's concurrent scrape-and-churn test holds every scrape to
+// it, so a malformed metric family fails before a real scraper chokes on
+// it. Serving load itself is measured by `bash perf/run.sh --workload
+// serve-warm|serve-cold`.
 
 import (
 	"fmt"

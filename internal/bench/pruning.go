@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -41,12 +40,9 @@ type PruningRow struct {
 type PruningResult struct {
 	Rows   []PruningRow
 	Config Config
-	// Failures lists correctness-gate violations (see file comment).
-	Failures []string
+	// gate lists correctness-gate violations (see file comment).
+	gate
 }
-
-// FailureList exposes the gate result to cmd/icpp98bench.
-func (r *PruningResult) FailureList() []string { return r.Failures }
 
 // pruningBaseline is the pre-overhaul serial configuration: the paper's
 // §3.2 prunings with the paper's heuristic, the new prunings off.
@@ -147,7 +143,7 @@ func RunPruning(cfg Config) *PruningResult {
 	res := &PruningResult{Config: cfg}
 	cells, err := pruningCells(cfg.Seed)
 	if err != nil {
-		res.Failures = append(res.Failures, fmt.Sprintf("pruning: corpus generation failed: %v", err))
+		res.failf("pruning: corpus generation failed: %v", err)
 		return res
 	}
 	headlineOK := false
@@ -159,7 +155,11 @@ func RunPruning(cfg Config) *PruningResult {
 			ecfg := variant.Cfg
 			ecfg.MaxExpanded = cfg.CellBudget
 			ecfg.Timeout = cfg.CellTimeout
-			c := runCellStats("astar", cell.g, cell.sys, ecfg)
+			c, err := runCell("astar", cell.g, cell.sys, ecfg)
+			if err != nil {
+				res.failf("pruning %s: %v", variant.Name, err)
+				continue
+			}
 			res.Rows = append(res.Rows, PruningRow{
 				Cell: cell.name, V: cell.g.NumNodes(), System: cell.sys.Name(),
 				Variant: variant.Name, Time: c.Time, Expanded: c.Expanded,
@@ -180,9 +180,8 @@ func RunPruning(cfg Config) *PruningResult {
 				if optLen < 0 {
 					optLen = row.Length
 				} else if row.Length != optLen {
-					res.Failures = append(res.Failures, fmt.Sprintf(
-						"pruning %s: variant %s proved makespan %d, earlier variants proved %d",
-						cell.name, variant.Name, row.Length, optLen))
+					res.failf("pruning %s: variant %s proved makespan %d, earlier variants proved %d",
+						cell.name, variant.Name, row.Length, optLen)
 				}
 			}
 		}
@@ -192,38 +191,12 @@ func RunPruning(cfg Config) *PruningResult {
 		}
 	}
 	if totalEquiv+totalFTO == 0 {
-		res.Failures = append(res.Failures,
-			"pruning: PrunedEquiv+PrunedFTO == 0 across the whole corpus — the new prunings never fired")
+		res.failf("pruning: PrunedEquiv+PrunedFTO == 0 across the whole corpus — the new prunings never fired")
 	}
 	if !headlineOK {
-		res.Failures = append(res.Failures,
-			"pruning: no layered-STG cell shows a >= 2x expansion reduction (all prunings + HLoad vs baseline)")
+		res.failf("pruning: no layered-STG cell shows a >= 2x expansion reduction (all prunings + HLoad vs baseline)")
 	}
 	return res
-}
-
-// statsCell extends cellResult with the pruning counters.
-type statsCell struct {
-	cellResult
-	PrunedEquiv int64
-	PrunedFTO   int64
-}
-
-// runCellStats is runCell plus the pruning counters of the run.
-func runCellStats(name string, g *taskgraph.Graph, sys *procgraph.System, ecfg engine.Config) statsCell {
-	start := time.Now()
-	r, err := engine.Solve(context.Background(), name, g, sys, ecfg)
-	if err != nil {
-		return statsCell{}
-	}
-	return statsCell{
-		cellResult: cellResult{
-			Time: time.Since(start), Expanded: r.Stats.Expanded,
-			Length: r.Length, Optimal: r.Optimal,
-		},
-		PrunedEquiv: r.Stats.PrunedEquiv,
-		PrunedFTO:   r.Stats.PrunedFTO,
-	}
 }
 
 // Tables renders the pruning ablation with per-variant deltas.

@@ -55,16 +55,13 @@ type SpeedupRow struct {
 
 // SpeedupResult reports the speedup experiment.
 type SpeedupResult struct {
-	Rows []SpeedupRow
-	// Failures lists determinism-gate violations: any native dive cell
-	// whose makespan differs from serial A*'s or whose BoundFactor is not
-	// exactly 1. cmd/icpp98bench exits non-zero when this is non-empty.
-	Failures []string
-	Config   Config
+	Rows   []SpeedupRow
+	Config Config
+	// gate lists determinism-gate violations: any native dive cell whose
+	// makespan differs from serial A*'s or whose BoundFactor is not
+	// exactly 1, and any engine error.
+	gate
 }
-
-// FailureList exposes the gate result to cmd/icpp98bench.
-func (r *SpeedupResult) FailureList() []string { return r.Failures }
 
 // speedupInstance builds the layered-STG workload for one size, the same
 // shape as the large experiment.
@@ -110,7 +107,7 @@ func RunSpeedup(cfg Config) *SpeedupResult {
 	for _, v := range sizes {
 		g, sys, err := speedupInstance(v, cfg.Seed)
 		if err != nil {
-			res.Failures = append(res.Failures, fmt.Sprintf("v=%d: workload generation failed: %v", v, err))
+			res.failf("v=%d: workload generation failed: %v", v, err)
 			continue
 		}
 		// The layered generator rounds v down to a multiple of its layer
@@ -123,11 +120,11 @@ func RunSpeedup(cfg Config) *SpeedupResult {
 		refCfg.HFunc = core.HPlus
 		ref, err := engine.Solve(context.Background(), "astar", g, sys, refCfg)
 		if err != nil {
-			res.Failures = append(res.Failures, fmt.Sprintf("v=%d: serial reference failed: %v", v, err))
+			res.failf("v=%d: serial reference failed: %v", v, err)
 			continue
 		}
 		if !ref.Optimal {
-			res.Failures = append(res.Failures, fmt.Sprintf("v=%d: serial reference did not prove optimality under the cell budget", v))
+			res.failf("v=%d: serial reference did not prove optimality under the cell budget", v)
 			continue
 		}
 
@@ -141,7 +138,7 @@ func RunSpeedup(cfg Config) *SpeedupResult {
 			if err != nil {
 				// Record the gate failure but still measure the budget cell:
 				// a broken dive must not silently zero the scaling series.
-				res.Failures = append(res.Failures, fmt.Sprintf("v=%d workers=%d: native dive failed: %v", v, w, err))
+				res.failf("v=%d workers=%d: native dive failed: %v", v, w, err)
 			} else {
 				row := SpeedupRow{
 					V: v, Workers: w, Mode: "dive", Time: time.Since(start),
@@ -149,12 +146,10 @@ func RunSpeedup(cfg Config) *SpeedupResult {
 					Optimal: dive.Optimal, Bound: dive.BoundFactor,
 				}
 				if dive.Length != ref.Length {
-					res.Failures = append(res.Failures,
-						fmt.Sprintf("v=%d workers=%d: native makespan %d differs from serial A* optimum %d", v, w, dive.Length, ref.Length))
+					res.failf("v=%d workers=%d: native makespan %d differs from serial A* optimum %d", v, w, dive.Length, ref.Length)
 				}
 				if dive.BoundFactor != 1 {
-					res.Failures = append(res.Failures,
-						fmt.Sprintf("v=%d workers=%d: native BoundFactor %g, want exactly 1", v, w, dive.BoundFactor))
+					res.failf("v=%d workers=%d: native BoundFactor %g, want exactly 1", v, w, dive.BoundFactor)
 				}
 				if w == 1 {
 					diveBase = row
@@ -169,7 +164,7 @@ func RunSpeedup(cfg Config) *SpeedupResult {
 			start = time.Now()
 			bud, err := engine.Solve(context.Background(), "native", g, sys, budCfg)
 			if err != nil {
-				res.Failures = append(res.Failures, fmt.Sprintf("v=%d workers=%d: native budget cell failed: %v", v, w, err))
+				res.failf("v=%d workers=%d: native budget cell failed: %v", v, w, err)
 				continue
 			}
 			brow := SpeedupRow{

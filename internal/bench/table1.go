@@ -1,27 +1,13 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/taskgraph"
 )
-
-// Table1Cell reports one algorithm on one instance.
-type Table1Cell struct {
-	Algorithm string
-	Cell      cellResult
-}
-
-// cellResult is the exported view of a measured run.
-type cellResult struct {
-	Time     time.Duration
-	Expanded int64
-	Length   int32
-	Optimal  bool
-}
 
 // Table1Row is one graph size within one CCR block.
 type Table1Row struct {
@@ -37,6 +23,7 @@ type Table1Result struct {
 	CCRs   []float64
 	Blocks map[float64][]Table1Row
 	Config Config
+	gate
 }
 
 // RunTable1 regenerates Table 1: running times of the Chen & Yu baseline,
@@ -48,12 +35,17 @@ func RunTable1(cfg Config) *Table1Result {
 		for _, v := range cfg.Sizes {
 			g, sys := cfg.instance(ccr, v)
 			ecfg := cfg.cellConfig()
-			row := Table1Row{V: v}
-			row.Chen = runCell("bnb", g, sys, ecfg)
 			full := ecfg
 			full.Disable = core.DisableAllPruning
-			row.Full = runCell("astar", g, sys, full)
-			row.Astar = runCell("astar", g, sys, ecfg)
+			row := Table1Row{V: v}
+			var errs [3]error
+			row.Chen, errs[0] = runCell("bnb", g, sys, ecfg)
+			row.Full, errs[1] = runCell("astar", g, sys, full)
+			row.Astar, errs[2] = runCell("astar", g, sys, ecfg)
+			if err := errors.Join(errs[:]...); err != nil {
+				res.failf("table1: %v", err)
+				continue
+			}
 			res.Blocks[ccr] = append(res.Blocks[ccr], row)
 		}
 	}

@@ -1013,17 +1013,11 @@ func (c *Coordinator) ingestReportLocked(t *task, ws *workerState, req *ReportRe
 	// lease-holder check in the caller: a stale report racing a failover
 	// must not rewind the counters after the survivor reported larger
 	// totals.
-	if t.job.Progress != nil {
-		t.job.Progress(t.baseExp+req.Expanded, t.baseGen+req.Generated)
-	}
-	if t.job.Pruned != nil {
-		t.job.Pruned(t.basePE+req.PrunedEquiv, t.basePF+req.PrunedFTO)
-	}
+	t.job.Progress.Record(t.baseExp+req.Expanded, t.baseGen+req.Generated)
+	t.job.Progress.RecordPruned(t.basePE+req.PrunedEquiv, t.basePF+req.PrunedFTO)
 	// Gauges are instantaneous, not cumulative: the current attempt's view
 	// simply overwrites the job's — no base+last fold.
-	if t.job.Gauges != nil {
-		t.job.Gauges(req.Incumbent, req.BestF, req.OpenLen)
-	}
+	t.job.Progress.RecordGauges(req.Incumbent, req.BestF, req.OpenLen)
 	// Worker-side spans arrive on terminal reports; fold them into the
 	// job's trace so the remote attempt's timeline reads alongside the
 	// coordinator's own lease spans.

@@ -8,12 +8,19 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/gen"
+	"repro/internal/obs"
+	"repro/internal/procgraph"
+	"repro/internal/solverpool"
 )
 
 // normalizeResult strips the one field that legitimately differs between
@@ -211,5 +218,63 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if want := fmt.Sprintf("%d", sa.Progress.Expanded); !strings.HasSuffix(line, " "+want) {
 		t.Errorf("engine expanded line %q, want total %s (the first solve's count)", line, want)
+	}
+}
+
+// TestFinishPublishesCacheAndPersistFirst: a waiter that wakes on a job's
+// terminal state must already find the job's schedule-cache entry and the
+// persist span in its trace, so a client that sees done and resubmits hits
+// the cache. A cancelled or failed job is never cached.
+func TestFinishPublishesCacheAndPersistFirst(t *testing.T) {
+	srv, base := newTestServer(t, Config{Workers: 2})
+	for _, eng := range []string{"astar", "dfbb", "ida", "bnb"} {
+		id := postJob(t, base, SubmitRequest{GraphText: paperText(t), System: json.RawMessage(`"ring:3"`), Engine: eng}).ID
+		j := srv.store.get(id)
+		select {
+		case <-j.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: job never finished", eng)
+		}
+		if _, ok := srv.cache.Get(j.cacheKey); !ok {
+			t.Errorf("%s: job is terminal but its result is not in the schedule cache", eng)
+		}
+		spans, _ := j.trace.Snapshot()
+		if len(spans) == 0 || spans[len(spans)-1].Name != "persist" {
+			t.Errorf("%s: job is terminal but its trace does not end in persist: %+v", eng, spans)
+		}
+	}
+
+	// Cancelled and failed outcomes, driven through finishJob directly so
+	// the outcome is certain: neither may leave a cache entry behind.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name   string
+		ctx    context.Context
+		errMsg string
+		want   string
+	}{
+		{"cancelled", cancelled, "", StateCancelled},
+		{"failed", context.Background(), "engine exploded", StateFailed},
+	} {
+		g := gen.PaperExample()
+		sys := procgraph.Ring(3)
+		j := &job{
+			graph: g, system: sys, engines: []string{"astar"},
+			cancel: func() {}, progress: &solverpool.Progress{},
+			trace:    obs.NewRecorder(obs.NewTraceID()),
+			cacheKey: cacheKey(g, sys, []string{"astar", tc.name}, JobConfig{}),
+			cacheOK:  true,
+		}
+		if _, err := srv.store.add(j); err != nil {
+			t.Fatal(err)
+		}
+		srv.finishJob(tc.ctx, j, &JobResult{Engine: "astar", Length: 14}, tc.errMsg)
+		if st := srv.store.status(j); st.State != tc.want {
+			t.Fatalf("%s: job ended %s, want %s", tc.name, st.State, tc.want)
+		}
+		if _, ok := srv.cache.Get(j.cacheKey); ok {
+			t.Errorf("%s job was cached", tc.name)
+		}
 	}
 }

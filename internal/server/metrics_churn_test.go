@@ -1,9 +1,10 @@
 // The /metrics contract under fire: this external test package drives a
 // live daemon with concurrent job churn while scraping the exposition in
 // parallel, holding every scrape to the Prometheus 0.0.4 linter and the
-// counters to monotonicity. It lives outside package server so it can
-// reuse bench.LintMetrics (bench imports server; an internal test would
-// cycle), and it runs under CI's -race step for ./internal/server/...
+// counters to monotonicity. It lives outside package server, driving the
+// daemon only through its exported API over HTTP as a scraper would, and
+// lints with bench.LintMetrics, the checker behind icpp98bench
+// -checkmetrics. It runs under CI's -race step for ./internal/server/...
 package server_test
 
 import (

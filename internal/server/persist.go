@@ -369,11 +369,11 @@ type fileStore struct {
 // retained jobs, rewrites a fresh snapshot reflecting the recovered state
 // (so interruption rewrites are durable and the next start replays
 // nothing), and arms the WAL sink.
-func openFileStore(dir string, cap int, ttl time.Duration) (*fileStore, error) {
+func openFileStore(dir string, cap int, ttl time.Duration, cache *solverpool.ResultCache) (*fileStore, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
 	}
-	fs := &fileStore{memStore: newStore(cap, ttl), dir: dir, leases: map[string]LeaseRecord{}}
+	fs := &fileStore{memStore: newStore(cap, ttl, cache), dir: dir, leases: map[string]LeaseRecord{}}
 	recs, leases, seq, err := loadRecords(dir)
 	if err != nil {
 		return nil, err

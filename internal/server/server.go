@@ -95,9 +95,10 @@ type Config struct {
 
 // DispatchJob is the server-side view of a job a Dispatcher may run on
 // remote capacity: the decoded instance, the submitter's wire budget, and
-// the two callbacks that feed the job's observable lifecycle (Started
-// fires markRunning when a worker picks the job up; Progress folds the
-// worker's reported absolute counters into the job's live progress).
+// the two hooks that feed the job's observable lifecycle (Started fires
+// markRunning when a worker picks the job up; Progress is the job's live
+// progress, into which the coordinator folds the worker's reported
+// counters and gauges).
 type DispatchJob struct {
 	ID       string
 	Graph    *taskgraph.Graph
@@ -105,14 +106,7 @@ type DispatchJob struct {
 	Engines  []string
 	Config   JobConfig
 	Started  func()
-	Progress func(expanded, generated int64)
-	// Pruned folds the worker's reported absolute pruning counters
-	// (equivalent-task, fixed-task-order) into the job's live progress.
-	Pruned func(equiv, fto int64)
-	// Gauges folds the worker's reported convergence gauges (incumbent
-	// upper bound, frontier f, OPEN population) into the job's live
-	// progress. Nil-safe for coordinators built before the hook existed.
-	Gauges func(incumbent, bestF int32, open int64)
+	Progress *solverpool.Progress
 	// TraceID travels with the lease so the remote worker's log records
 	// and spans correlate with the coordinator's trace.
 	TraceID string
@@ -214,15 +208,16 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
 	}
+	cache := solverpool.NewResultCache(cfg.CacheBytes)
 	var store JobStore
 	if cfg.StoreDir != "" {
-		fs, err := openFileStore(cfg.StoreDir, cfg.StoreCap, cfg.TTL)
+		fs, err := openFileStore(cfg.StoreDir, cfg.StoreCap, cfg.TTL, cache)
 		if err != nil {
 			return nil, fmt.Errorf("server: opening job store in %s: %w", cfg.StoreDir, err)
 		}
 		store = fs
 	} else {
-		store = newStore(cfg.StoreCap, cfg.TTL)
+		store = newStore(cfg.StoreCap, cfg.TTL, cache)
 	}
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = obs.DefaultSampleInterval
@@ -234,7 +229,7 @@ func Open(cfg Config) (*Server, error) {
 	s := &Server{
 		pool:     pool,
 		store:    store,
-		cache:    solverpool.NewResultCache(cfg.CacheBytes),
+		cache:    cache,
 		metrics:  newMetrics(),
 		sem:      make(chan struct{}, pool.Workers()),
 		interval: cfg.StreamInterval,
@@ -305,7 +300,7 @@ func (s *Server) ResumeRecovered() int {
 			}
 			s.log.Warn("recovered job not resumable",
 				"job", j.id, "trace_id", traceID, "state", j.state, "cluster", s.dispatcher != nil)
-			s.store.finish(j, nil, fmt.Sprintf("interrupted: daemon restarted while the job was %s", j.state))
+			s.store.finish(j, nil, fmt.Sprintf("interrupted: daemon restarted while the job was %s", j.state), nil)
 			continue
 		}
 		if j.trace == nil {
@@ -321,7 +316,7 @@ func (s *Server) ResumeRecovered() int {
 		if s.baseCtx.Err() != nil {
 			s.closeMu.Unlock()
 			cancel()
-			s.store.finish(j, nil, fmt.Sprintf("interrupted: daemon restarted while the job was %s", j.state))
+			s.store.finish(j, nil, fmt.Sprintf("interrupted: daemon restarted while the job was %s", j.state), nil)
 			continue
 		}
 		s.wg.Add(1)
@@ -351,20 +346,7 @@ func (s *Server) resume(ctx context.Context, j *job, cfg engine.Config, lease *L
 	defer stopSampler()
 	if d := s.dispatcher; d != nil {
 		dispatch := j.trace.Start("dispatch", obs.OriginDaemon)
-		res, errMessage, handled := d.Dispatch(ctx, DispatchJob{
-			ID:       j.id,
-			Graph:    j.graph,
-			System:   j.system,
-			Engines:  j.engines,
-			Config:   j.config,
-			Started:  func() { s.store.markRunning(j) },
-			Progress: j.progress.Record,
-			Pruned:   j.progress.RecordPruned,
-			Gauges:   j.progress.RecordGauges,
-			TraceID:  j.trace.TraceID(),
-			Trace:    j.trace,
-			Resume:   lease,
-		})
+		res, errMessage, handled := d.Dispatch(ctx, s.dispatchJob(j, lease))
 		dispatch.End("handled", strconv.FormatBool(handled), "resume", "true")
 		if handled {
 			s.finishJob(ctx, j, res, errMessage)
@@ -378,6 +360,23 @@ func (s *Server) resume(ctx context.Context, j *job, cfg engine.Config, lease *L
 		return
 	}
 	s.runLocal(ctx, j, cfg)
+}
+
+// dispatchJob is the Dispatcher's view of j; lease is the recovered lease
+// record when the job is being resumed after a restart, nil otherwise.
+func (s *Server) dispatchJob(j *job, lease *LeaseRecord) DispatchJob {
+	return DispatchJob{
+		ID:       j.id,
+		Graph:    j.graph,
+		System:   j.system,
+		Engines:  j.engines,
+		Config:   j.config,
+		Started:  func() { s.store.markRunning(j) },
+		Progress: j.progress,
+		TraceID:  j.trace.TraceID(),
+		Trace:    j.trace,
+		Resume:   lease,
+	}
 }
 
 // capacity is the aggregate solve-slot count: the local pool plus every
@@ -543,29 +542,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // back an incumbent schedule, which is kept. A completed solve also
 // feeds the lifetime metrics and the schedule cache: the memoized copy
 // has its job ID cleared, since the cache is keyed by content, not by
-// which job computed it.
+// which job computed it; the store fills it before the terminal state is
+// visible (memStore.finish).
 func (s *Server) finishJob(ctx context.Context, j *job, res *JobResult, errMessage string) {
 	if ctx.Err() != nil {
 		s.store.noteInterrupted(j)
 	}
-	persistStart := time.Now()
-	final := s.store.finish(j, res, errMessage)
+	// The payload is marshaled here, outside the store lock, as the done
+	// result it becomes; the store keeps it only if the job settles done,
+	// and a result that fails to marshal is simply not cached. An answer
+	// served from the cache is already there, byte for byte. (The run
+	// goroutine wrote cacheNote itself, so this read needs no lock.)
+	var payload []byte
+	if res != nil && errMessage == "" && s.cache != nil && j.cacheOK && j.cacheNote != "hit" {
+		cp := *res
+		cp.ID = ""
+		cp.State = StateDone
+		payload, _ = json.Marshal(cp)
+	}
+	final := s.store.finish(j, res, errMessage, payload)
 	if final == "" {
 		return // a racing finisher already recorded the outcome
 	}
 	s.metrics.recordFinish(final, j)
-	if final == StateDone && res != nil && s.cache != nil && j.cacheOK {
-		cp := *res
-		cp.ID = ""
-		if data, err := json.Marshal(cp); err == nil {
-			s.cache.Put(j.cacheKey, data)
-		}
-	}
-	// The persist span covers the terminal store write (the WAL append,
-	// when the store is file-backed) and the cache refill.
-	if j.trace != nil {
-		j.trace.RecordTimed("persist", obs.OriginDaemon, persistStart, time.Now(), "state", final)
-	}
 	// Quiesce the sampler before the closing log reads the ring, so a job
 	// faster than one sample interval still reports its final counters.
 	if stop := j.stopSampler.Load(); stop != nil {
@@ -667,19 +666,7 @@ func (s *Server) run(ctx context.Context, j *job, cfg engine.Config) {
 			}
 		}
 		dispatch := j.trace.Start("dispatch", obs.OriginDaemon)
-		res, errMessage, handled := d.Dispatch(ctx, DispatchJob{
-			ID:       j.id,
-			Graph:    j.graph,
-			System:   j.system,
-			Engines:  j.engines,
-			Config:   j.config,
-			Started:  func() { s.store.markRunning(j) },
-			Progress: j.progress.Record,
-			Pruned:   j.progress.RecordPruned,
-			Gauges:   j.progress.RecordGauges,
-			TraceID:  j.trace.TraceID(),
-			Trace:    j.trace,
-		})
+		res, errMessage, handled := d.Dispatch(ctx, s.dispatchJob(j, nil))
 		dispatch.End("handled", strconv.FormatBool(handled))
 		if handled {
 			s.finishJob(ctx, j, res, errMessage)

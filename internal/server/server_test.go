@@ -780,7 +780,7 @@ func (d *fakeDispatcher) Dispatch(ctx context.Context, job DispatchJob) (*JobRes
 		return nil, "", false
 	}
 	job.Started()
-	job.Progress(42, 99)
+	job.Progress.Record(42, 99)
 	res := d.res
 	if res != nil {
 		cp := *res

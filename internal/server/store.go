@@ -101,8 +101,9 @@ type JobStore interface {
 	// markRunning transitions queued → running (idempotently).
 	markRunning(j *job) bool
 	// finish moves a job to its terminal state and returns that state, or
-	// "" when the job was already terminal.
-	finish(j *job, result *JobResult, errMessage string) string
+	// "" when the job was already terminal; a done job's cache payload, when
+	// non-nil, enters the schedule cache first.
+	finish(j *job, result *JobResult, errMessage string, payload []byte) string
 	// noteInterrupted flags the job as cancelled without firing its context.
 	noteInterrupted(j *job)
 	// requestCancel flags the job as cancelled and fires its context.
@@ -147,10 +148,12 @@ type memStore struct {
 	// file-backed store persists through. Running it under the lock keeps
 	// the WAL ordered exactly like the in-memory history.
 	sink func(op storeOp, j *job)
+	// cache is the schedule cache finish fills (nil when disabled).
+	cache *solverpool.ResultCache
 }
 
-func newStore(cap int, ttl time.Duration) *memStore {
-	return &memStore{jobs: map[string]*job{}, cap: cap, ttl: ttl, now: time.Now}
+func newStore(cap int, ttl time.Duration, cache *solverpool.ResultCache) *memStore {
+	return &memStore{jobs: map[string]*job{}, cap: cap, ttl: ttl, now: time.Now, cache: cache}
 }
 
 // errStoreFull reports an admission rejection (HTTP 503).
@@ -333,7 +336,17 @@ func (st *memStore) markRunning(j *job) bool {
 // error is a failure; a cancellation request wins over the result an
 // interrupted engine still returned (the result is kept — a cancelled
 // search hands back its best incumbent).
-func (st *memStore) finish(j *job, result *JobResult, errMessage string) string {
+//
+// payload, when non-nil, is the result as the schedule cache memoizes it.
+// A job that settles done stores it under its cache key, and every job
+// records its persist span (the terminal store write — the WAL append,
+// when the store is file-backed — and the cache fill), both before the
+// waiters wake and the lock is released. Every reader of the terminal
+// state (status, /events, the result, the trace) takes this lock or waits
+// on j.done, so it also sees the cache entry and the span: a client that
+// sees done and resubmits is a cache hit.
+func (st *memStore) finish(j *job, result *JobResult, errMessage string, payload []byte) string {
+	start := st.now()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if terminal(j.state) {
@@ -354,6 +367,12 @@ func (st *memStore) finish(j *job, result *JobResult, errMessage string) string 
 		j.result.State = j.state
 	}
 	st.persistLocked(opPut, j)
+	if j.state == StateDone && payload != nil {
+		st.cache.Put(j.cacheKey, payload)
+	}
+	if j.trace != nil {
+		j.trace.RecordTimed("persist", obs.OriginDaemon, start, st.now(), "state", j.state)
+	}
 	close(j.done)
 	return j.state
 }
