@@ -83,7 +83,10 @@ const (
 	// minimum work)/P⌉, and a communication-aware critical path — for every
 	// ready node, its earliest possible start on any PE (parents pay their
 	// comm cost unless co-located) plus its static level. Strictly tighter
-	// again; costs O(ready·P·indeg) per expansion.
+	// again. The earliest start is the minimum of the node's data-arrival
+	// row, which child generation reads as well, so the bound costs
+	// O(ready·indeg) arrival terms per target PE, once per expansion
+	// (see prepCriticalPath).
 	HLoad
 )
 
@@ -252,9 +255,10 @@ type Expander struct {
 	cnt         []int32 // scratch: per PE number of assigned nodes
 	eqSeen      []bool  // scratch: equivalence classes already branched
 	isoSeen     []bool  // scratch: interchangeability classes with an empty representative
-	procOK      []bool  // scratch: PEs to consider after isomorphism filtering
+	targets     []int32 // scratch: PEs surviving the isomorphism filter, ascending
 	ready       []int32 // scratch: ready nodes surviving the task prunings, branch order
-	ftoN        []int32 // scratch: ready nodes sorted by the FTO dominance order
+	arrival     []int32 // scratch, V×P (at most 1 MiB): ready[i]'s data-arrival times, see arrivalRow
+	ftoN        []int32 // scratch: indexes into ready, sorted by the FTO dominance order
 	ftoDRT      []int32 // scratch: their data-ready times (remote arrival)
 	ftoOut      []int32 // scratch: their out-edge comm costs
 
@@ -292,8 +296,9 @@ func (m *Model) newExpander(opt Options, stats *Stats, arena *Arena) *Expander {
 		cnt:      make([]int32, m.P),
 		eqSeen:   make([]bool, m.V),
 		isoSeen:  make([]bool, m.P),
-		procOK:   make([]bool, m.P),
+		targets:  make([]int32, 0, m.P),
 		ready:    make([]int32, 0, m.V),
+		arrival:  make([]int32, m.V*m.P),
 		ftoN:     make([]int32, 0, m.V),
 		ftoDRT:   make([]int32, 0, m.V),
 		ftoOut:   make([]int32, 0, m.V),
@@ -353,24 +358,22 @@ func (e *Expander) Expand(s *State, visited *Visited, emit func(*State)) int {
 
 	// Processor-isomorphism pruning: among empty PEs of one
 	// interchangeability class, only the lowest-indexed is a target.
-	for pe := 0; pe < m.P; pe++ {
-		e.procOK[pe] = true
-	}
-	if e.Disable&DisableIsomorphism == 0 {
+	e.targets = e.targets[:0]
+	iso := e.Disable&DisableIsomorphism == 0
+	if iso {
 		for pe := 0; pe < m.P; pe++ {
 			e.isoSeen[pe] = false
 		}
-		for pe := 0; pe < m.P; pe++ {
-			if e.cnt[pe] != 0 {
-				continue
-			}
+	}
+	for pe := int32(0); int(pe) < m.P; pe++ {
+		if iso && e.cnt[pe] == 0 {
 			rep := m.procRep[pe]
 			if e.isoSeen[rep] {
-				e.procOK[pe] = false
-			} else {
-				e.isoSeen[rep] = true
+				continue
 			}
+			e.isoSeen[rep] = true
 		}
+		e.targets = append(e.targets, pe)
 	}
 
 	order := m.prioOrder
@@ -443,25 +446,38 @@ func (e *Expander) Expand(s *State, visited *Visited, emit func(*State)) int {
 	// parent placements only, so they are computed once per expansion over
 	// the full surviving ready set — before any FTO truncation, since an
 	// FTO-skipped node is still unscheduled in every child and remains a
-	// valid lower-bound witness.
+	// valid lower-bound witness. The arrival rows they read are the ones
+	// child generation reads below.
 	if e.HFunc == HLoad {
+		e.prepArrivals()
 		e.prepCriticalPath()
 	}
 
 	// Fixed-task-order collapse: when the ready set provably admits a
-	// single optimal branching order, branch only its first node.
+	// single optimal branching order, branch only its first node, whose
+	// arrival row (if already computed) moves to row 0 with it.
 	if e.Disable&DisableFTO == 0 && m.ftoEligible && len(e.ready) > 1 {
-		if first, ok := e.ftoFirst(); ok {
+		if i, ok := e.ftoFirst(); ok {
 			if e.Stats != nil {
 				e.Stats.PrunedFTO += int64(len(e.ready) - 1)
 			}
-			e.ready = append(e.ready[:0], first)
+			if e.HFunc == HLoad {
+				copy(e.arrivalRow(0), e.arrivalRow(int(i)))
+			}
+			e.ready = append(e.ready[:0], e.ready[i])
 		}
+	}
+	// The other tiers need rows only for the nodes they branch on.
+	if e.HFunc != HLoad {
+		e.prepArrivals()
+	}
+	if e.Stats != nil {
+		e.Stats.PrunedIso += int64(m.P-len(e.targets)) * int64(len(e.ready))
 	}
 
 	emitted := 0
-	for _, n := range e.ready {
-		emitted += e.expandNode(s, n, visited, emit)
+	for i, n := range e.ready {
+		emitted += e.expandNode(s, n, e.arrivalRow(i), visited, emit)
 	}
 	if e.pruneTracer != nil && e.Stats != nil {
 		if de, df := e.Stats.PrunedEquiv-prunedEquiv0, e.Stats.PrunedFTO-prunedFTO0; de != 0 || df != 0 {
@@ -472,14 +488,15 @@ func (e *Expander) Expand(s *State, visited *Visited, emit func(*State)) int {
 }
 
 // ftoFirst checks the fixed-task-order condition on the surviving ready set
-// and, when it holds, returns the single node the whole set collapses to:
-// every ready node has at most one parent and one child, all present
-// children coincide, and sorting by (data-ready time ascending, out-edge
-// cost descending) yields non-increasing out-edge costs — in which case an
-// optimal schedule starts the ready nodes in exactly that order
-// (arXiv 2405.15371), so branching any other node first is redundant.
-// Data-ready time is the remote arrival finish(parent) + c(edge), which is
-// PE-independent on the classic systems ftoEligible admits.
+// and, when it holds, returns the index in e.ready of the single node the
+// whole set collapses to: every ready node has at most one parent and one
+// child, all present children coincide, and sorting by (data-ready time
+// ascending, out-edge cost descending) yields non-increasing out-edge
+// costs — in which case an optimal schedule starts the ready nodes in
+// exactly that order (arXiv 2405.15371), so branching any other node first
+// is redundant. Data-ready time is the remote arrival finish(parent) +
+// c(edge), which is PE-independent on the classic systems ftoEligible
+// admits.
 //
 //icpp98:hotpath
 func (e *Expander) ftoFirst() (int32, bool) {
@@ -501,7 +518,7 @@ func (e *Expander) ftoFirst() (int32, bool) {
 	// ready sets are small and the arrays are preallocated, so the hot path
 	// stays allocation-free.
 	e.ftoN, e.ftoDRT, e.ftoOut = e.ftoN[:0], e.ftoDRT[:0], e.ftoOut[:0]
-	for _, n := range e.ready {
+	for idx, n := range e.ready {
 		var drt int32
 		if p := m.ftoParent[n]; p >= 0 {
 			drt = e.finishOf[p] + m.ftoParentCost[n]
@@ -513,11 +530,11 @@ func (e *Expander) ftoFirst() (int32, bool) {
 		e.ftoOut = append(e.ftoOut, 0)
 		for i > 0 && (drt < e.ftoDRT[i-1] ||
 			drt == e.ftoDRT[i-1] && (out > e.ftoOut[i-1] ||
-				out == e.ftoOut[i-1] && n < e.ftoN[i-1])) {
+				out == e.ftoOut[i-1] && n < e.ready[e.ftoN[i-1]])) {
 			e.ftoN[i], e.ftoDRT[i], e.ftoOut[i] = e.ftoN[i-1], e.ftoDRT[i-1], e.ftoOut[i-1]
 			i--
 		}
-		e.ftoN[i], e.ftoDRT[i], e.ftoOut[i] = n, drt, out
+		e.ftoN[i], e.ftoDRT[i], e.ftoOut[i] = int32(idx), drt, out
 	}
 	for i := 1; i < len(e.ftoOut); i++ {
 		if e.ftoOut[i] > e.ftoOut[i-1] {
@@ -549,6 +566,39 @@ func (e *Expander) prepPlus() {
 	}
 }
 
+// prepArrivals computes, once per expansion, each ready node's
+// data-arrival time on each target PE: the latest parent finish plus that
+// edge's comm cost (zero when co-located). Row i of e.arrival belongs to
+// e.ready[i], column k to e.targets[k]; a child's start time is then
+// max(rt[pe], row[k]) with no predecessor scan.
+//
+//icpp98:hotpath
+func (e *Expander) prepArrivals() {
+	m := e.M
+	for i, n := range e.ready {
+		row := e.arrivalRow(i)
+		for k := range row {
+			row[k] = 0
+		}
+		for _, a := range m.G.Pred(n) {
+			fin, q := e.finishOf[a.Node], int(e.procOf[a.Node])
+			for k, pe := range e.targets {
+				if t := fin + m.Sys.CommCost(a.Cost, q, int(pe)); t > row[k] {
+					row[k] = t
+				}
+			}
+		}
+	}
+}
+
+// arrivalRow returns the data-arrival row of e.ready[i]: its k-th entry is
+// the time the node's last parent message reaches e.targets[k].
+//
+//icpp98:hotpath
+func (e *Expander) arrivalRow(i int) []int32 {
+	return e.arrival[i*e.M.P : i*e.M.P+len(e.targets)]
+}
+
 // prepCriticalPath computes, for every surviving ready node u, the
 // communication-aware earliest-start bound min over PEs of the latest
 // parent arrival (each parent pays its comm cost unless co-located) plus
@@ -558,26 +608,20 @@ func (e *Expander) prepPlus() {
 // w_min(n) <= exec(n, pe), so n's bound is at most ft + maxSlSucc(n),
 // which hPlus already adds to h.
 //
+// The minimum runs over u's arrival row, which covers the target PEs
+// only, and equals the minimum over all P PEs. A PE the isomorphism filter
+// drops is empty, and so is its class's target: interchangeable PEs have
+// equal distances to every PE outside the pair, and no parent sits on
+// either, so both see every parent at the same comm cost.
+//
 //icpp98:hotpath
 func (e *Expander) prepCriticalPath() {
 	m := e.M
 	e.cpTop = 0
-	for _, n := range e.ready {
-		var lbStart int32
-		if len(m.G.Pred(n)) > 0 {
-			lbStart = int32(1<<31 - 1)
-			for pe := 0; pe < m.P; pe++ {
-				var arr int32
-				for _, a := range m.G.Pred(n) {
-					t := e.finishOf[a.Node] + m.Sys.CommCost(a.Cost, int(e.procOf[a.Node]), pe)
-					if t > arr {
-						arr = t
-					}
-				}
-				if arr < lbStart {
-					lbStart = arr
-				}
-			}
+	for i, n := range e.ready {
+		lbStart := int32(1<<31 - 1)
+		for _, t := range e.arrivalRow(i) {
+			lbStart = min(lbStart, t)
 		}
 		if cpb := lbStart + m.slMin[n]; cpb > e.cpTop {
 			e.cpTop = cpb
@@ -586,26 +630,14 @@ func (e *Expander) prepCriticalPath() {
 }
 
 // expandNode generates the children that assign ready node n to each
-// admissible PE.
+// target PE; arrival is n's data-arrival row (see prepArrivals).
 //
 //icpp98:hotpath
-func (e *Expander) expandNode(s *State, n int32, visited *Visited, emit func(*State)) int {
+func (e *Expander) expandNode(s *State, n int32, arrival []int32, visited *Visited, emit func(*State)) int {
 	m := e.M
 	emitted := 0
-	for pe := int32(0); int(pe) < m.P; pe++ {
-		if !e.procOK[pe] {
-			if e.Stats != nil {
-				e.Stats.PrunedIso++
-			}
-			continue
-		}
-		st := e.rt[pe]
-		for _, a := range m.G.Pred(n) {
-			t := e.finishOf[a.Node] + m.Sys.CommCost(a.Cost, int(e.procOf[a.Node]), int(pe))
-			if t > st {
-				st = t
-			}
-		}
+	for k, pe := range e.targets {
+		st := max(e.rt[pe], arrival[k])
 		ft := st + m.exec[n][pe]
 
 		g := s.g
@@ -631,10 +663,11 @@ func (e *Expander) expandNode(s *State, n int32, visited *Visited, emit func(*St
 			// Load-balance bound: every PE timeline in the child is at least
 			// its committed ready time (ft for pe), and the remaining minimum
 			// work must fit somewhere, so P·makespan ≥ Σ rt' + remaining.
-			sum := e.sumRT - int64(e.rt[pe]) + int64(ft)
-			rem := e.remMin - int64(m.wMin[n])
-			if lb := int32((sum + rem + int64(m.P) - 1) / int64(m.P)); lb-g > h {
-				h = lb - g
+			// ⌈x/P⌉ > g+h exactly when x > (g+h)·P, so the divide runs only
+			// when the term raises h.
+			x := e.sumRT - int64(e.rt[pe]) + int64(ft) + e.remMin - int64(m.wMin[n])
+			if p := int64(m.P); x > int64(g+h)*p {
+				h = int32((x+p-1)/p) - g
 			}
 			// Comm-aware critical path over the parent's ready set (n's own
 			// bound included: hPlus dominates it, see prepCriticalPath).

@@ -3,6 +3,7 @@ package procgraph
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -67,11 +68,18 @@ func FromJSON(data []byte) (*System, error) {
 //	complete:N  ring:N  chain:N  star:N  hypercube:D  mesh:RxC  torus:RxC
 //
 // An empty spec selects Complete(defaultProcs) — one PE per task is the
-// paper's TPE default.
+// paper's TPE default. A spec of more than MaxProcs PEs is an error, found
+// before any of the system is built.
 func ParseSpec(spec string, defaultProcs int) (*System, error) {
+	tooMany := func(what string) error {
+		return fmt.Errorf("procgraph: processor spec %q has more than %d PEs", what, MaxProcs)
+	}
 	if spec == "" {
 		if defaultProcs < 1 {
 			return nil, fmt.Errorf("procgraph: empty spec needs a default size")
+		}
+		if defaultProcs > MaxProcs {
+			return nil, tooMany(fmt.Sprintf("complete:%d", defaultProcs))
 		}
 		return Complete(defaultProcs), nil
 	}
@@ -88,6 +96,11 @@ func ParseSpec(spec string, defaultProcs int) (*System, error) {
 		n, err := atoi(arg)
 		if err != nil {
 			return nil, err
+		}
+		// A hypercube has 1<<n PEs: compare the dimension, so a large one
+		// cannot wrap the shift.
+		if name == "hypercube" && n >= bits.Len(MaxProcs) || name != "hypercube" && n > MaxProcs {
+			return nil, tooMany(spec)
 		}
 		switch name {
 		case "complete":
@@ -113,6 +126,9 @@ func ParseSpec(spec string, defaultProcs int) (*System, error) {
 		c, err := atoi(cs)
 		if err != nil {
 			return nil, err
+		}
+		if r > MaxProcs/c { // r*c > MaxProcs, without overflowing r*c
+			return nil, tooMany(spec)
 		}
 		if name == "mesh" {
 			return Mesh(r, c), nil

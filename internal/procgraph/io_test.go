@@ -2,6 +2,8 @@ package procgraph
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -86,5 +88,35 @@ func TestParseSpec(t *testing.T) {
 		if _, err := ParseSpec(bad, 4); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded", bad)
 		}
+	}
+}
+
+// TestParseSpecMaxProcs: the largest admitted systems parse, and every spec
+// beyond MaxProcs is an error rather than a panic or a huge allocation —
+// including hypercube dimensions whose 1<<dim wraps and mesh sizes whose
+// rows*cols overflows int.
+func TestParseSpecMaxProcs(t *testing.T) {
+	for _, spec := range []string{"hypercube:10", "mesh:32x32", "ring:1024"} {
+		sys, err := ParseSpec(spec, 4)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", spec, err)
+		} else if sys.NumProcs() != MaxProcs {
+			t.Errorf("ParseSpec(%q) = %d procs, want %d", spec, sys.NumProcs(), MaxProcs)
+		}
+	}
+	for _, bad := range []string{
+		"hypercube:11", "hypercube:63", "hypercube:64", "hypercube:1000",
+		"complete:1025", "complete:1000000000", "ring:2000", "chain:9999999999", "star:1025",
+		"mesh:33x32", "torus:32x33", "mesh:4294967296x4294967296", "torus:1x1000000",
+	} {
+		if _, err := ParseSpec(bad, 4); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxProcs)) {
+			t.Errorf("ParseSpec(%q): err %v, want one naming the %d-PE limit", bad, err, MaxProcs)
+		}
+	}
+	if _, err := ParseSpec("", MaxProcs+1); err == nil {
+		t.Errorf("ParseSpec(\"\", %d) succeeded", MaxProcs+1)
+	}
+	if _, err := FromJSON([]byte(`{"procs": 1000000000, "links": []}`)); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxProcs)) {
+		t.Errorf("FromJSON with 1e9 procs: err %v, want one naming the %d-PE limit", err, MaxProcs)
 	}
 }

@@ -62,12 +62,21 @@ type Config struct {
 	Link LinkModel
 }
 
+// MaxProcs is the largest number of PEs a System may have. A system keeps
+// a P×P distance matrix (4 MiB at this limit) and the search keeps per-PE
+// scratch, so New and ParseSpec reject a larger one before building
+// anything. It admits every system the repository's experiments use.
+const MaxProcs = 1024
+
 // New builds a System from an undirected adjacency list. adj[i] lists the
 // neighbors of PE i; edges may be listed on either or both endpoints. The
-// graph must be connected.
+// graph must be connected and have at most MaxProcs PEs.
 func New(name string, n int, adjPairs [][2]int, cfg Config) (*System, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("procgraph: system %q needs at least one PE", name)
+	}
+	if n > MaxProcs {
+		return nil, fmt.Errorf("procgraph: system %q has %d PEs, more than the limit of %d", name, n, MaxProcs)
 	}
 	adjSet := make([]map[int32]bool, n)
 	for i := range adjSet {

@@ -1058,6 +1058,30 @@ func TestOversizeGraphRejected(t *testing.T) {
 	}
 }
 
+// TestOversizeSystemRejected: a processor system beyond procgraph.MaxProcs
+// is a 400 bad_request naming the limit, whether it comes as a spec whose
+// size once wrapped (hypercube:64 used to panic the handler) or as a JSON
+// system with a huge PE count, and it is rejected before anything of that
+// size is built.
+func TestOversizeSystemRejected(t *testing.T) {
+	_, base := newTestServer(t, Config{})
+	for _, sys := range []string{`"hypercube:63"`, `"hypercube:64"`, `"complete:1025"`, `"mesh:4096x4096"`, `{"procs": 1000000000, "links": []}`} {
+		resp := postJobRaw(t, base, SubmitRequest{
+			GraphText: "graph pair\nnode 0 1\nnode 1 1\nedge 0 1 1\n",
+			System:    json.RawMessage(sys),
+		})
+		var e ErrorResponse
+		err := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("system %s: %v", sys, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Code != ErrCodeBadRequest || !strings.Contains(e.Message, fmt.Sprint(procgraph.MaxProcs)) {
+			t.Fatalf("system %s: got %d %+v, want 400 bad_request naming the %d-PE limit", sys, resp.StatusCode, e, procgraph.MaxProcs)
+		}
+	}
+}
+
 // TestCostOverflowRejected: a 3-task chain of weight 1e9 has a 3e9 schedule
 // length, beyond the engines' int32 arithmetic (it used to be accepted and
 // served with a negative finish time). It is a 400 bad_request at submit
