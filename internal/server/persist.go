@@ -379,6 +379,7 @@ func openFileStore(dir string, cap int, ttl time.Duration, cache *solverpool.Res
 		return nil, err
 	}
 	now := time.Now()
+	var terminals []*job
 	for _, rec := range recs {
 		_, resumable := leases[rec.ID]
 		j, err := rec.toJob(now, resumable)
@@ -390,8 +391,11 @@ func openFileStore(dir string, cap int, ttl time.Duration, cache *solverpool.Res
 			continue
 		}
 		fs.jobs[j.id] = j
-		if !terminal(j.state) {
+		if terminal(j.state) {
+			terminals = append(terminals, j)
+		} else {
 			fs.resumed = append(fs.resumed, j)
+			fs.nActive++
 		}
 		if n := idSeq(j.id); n > seq {
 			seq = n
@@ -404,6 +408,18 @@ func openFileStore(dir string, cap int, ttl time.Duration, cache *solverpool.Res
 	sort.Slice(fs.adoptable, func(i, k int) bool { return fs.adoptable[i].JobID < fs.adoptable[k].JobID })
 	sort.Slice(fs.resumed, func(i, k int) bool { return idSeq(fs.resumed[i].id) < idSeq(fs.resumed[k].id) })
 	fs.seq = seq
+	// The finish queue starts in finish order; jobs interrupted by the
+	// restart all finished at now, so ties fall back to admission order.
+	sort.Slice(terminals, func(i, k int) bool {
+		a, b := terminals[i], terminals[k]
+		if !a.finished.Equal(b.finished) {
+			return a.finished.Before(b.finished)
+		}
+		return idSeq(a.id) < idSeq(b.id)
+	})
+	for _, j := range terminals {
+		fs.byFinish.push(j)
+	}
 	// Respect the capacity bound on the recovered population (a smaller
 	// -store than the previous run, say) by evicting oldest-terminal.
 	for len(fs.jobs) > cap {

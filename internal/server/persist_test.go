@@ -14,10 +14,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/gen"
+	"repro/internal/procgraph"
 	"repro/internal/solverpool"
 )
 
@@ -276,6 +279,89 @@ func TestTerminalRetentionDoesNotWedgeAdmission(t *testing.T) {
 	// The fourth submission must still be admitted.
 	sub := postJob(t, base, req)
 	waitTerminal(t, base, sub.ID)
+}
+
+// TestRecoveryEvictsInFinishOrder reopens a store directory whose jobs
+// finished in an order unrelated to their IDs, with a cap below the
+// recovered population: recovery must evict the earliest-finished jobs,
+// and after it the next eviction and the TTL sweep must keep following
+// finish order, not ID order.
+func TestRecoveryEvictsInFinishOrder(t *testing.T) {
+	dir := t.TempDir()
+	g, err := gen.Random(gen.RandomConfig{V: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := procgraph.ParseSpec("ring:3", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newJob := func() *job {
+		return &job{graph: g, system: sys, cancel: func() {}, progress: &solverpool.Progress{}}
+	}
+	base := time.Unix(1_000_000_000, 0)
+	clock := base
+	now := func() time.Time { return clock }
+
+	fs1, err := openFileStore(dir, 16, 10*time.Minute, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs1.now = now
+	jobs := map[string]*job{}
+	for i := 0; i < 6; i++ {
+		j := newJob()
+		id, err := fs1.add(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[id] = j
+	}
+	// Finish order: job-4 first (base+1m), then 2, 6, 1, 5, 3 (base+6m).
+	for _, id := range []string{"job-4", "job-2", "job-6", "job-1", "job-5", "job-3"} {
+		clock = clock.Add(time.Minute)
+		fs1.finish(jobs[id], nil, "", nil)
+	}
+	if err := fs1.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	retained := func(fs *fileStore) string {
+		ids := make([]string, 0, len(fs.jobs))
+		for id := range fs.jobs {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, k int) bool { return idSeq(ids[i]) < idSeq(ids[k]) })
+		return strings.Join(ids, " ")
+	}
+	fs2, err := openFileStore(dir, 3, 10*time.Minute, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.close()
+	fs2.now = now
+	if got, want := retained(fs2), "job-1 job-3 job-5"; got != want {
+		t.Fatalf("reopened at cap 3 retains %q, want %q (job-4, 2 and 6 finished first)", got, want)
+	}
+
+	// At cap, the next admission evicts job-1, the earliest of the three.
+	clock = base.Add(7 * time.Minute)
+	id, err := fs2.add(newJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := retained(fs2), "job-3 job-5 "+id; got != want {
+		t.Fatalf("after one admission at cap: %q, want %q", got, want)
+	}
+	// job-5 finished at base+5m and job-3 at base+6m: a TTL cutoff between
+	// the two sweeps job-5 alone.
+	clock = base.Add(15*time.Minute + 30*time.Second)
+	if fs2.get("job-3") == nil {
+		t.Fatal("job-3 swept before its TTL lapsed")
+	}
+	if got, want := retained(fs2), "job-3 "+id; got != want {
+		t.Fatalf("after the TTL sweep: %q, want %q", got, want)
+	}
 }
 
 // FuzzStoreDecode hammers the WAL-line decoder (and the snapshot decoder

@@ -924,17 +924,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		status = "shutting-down"
 	}
 	ps := s.pool.Stats()
+	active := s.store.active()
 	h := Health{
 		Status:   status,
 		Workers:  s.pool.Workers(),
 		InFlight: s.pool.InFlight(),
 		// Jobs counts live work only: a store full of finished (or
 		// recovered) results must not make the daemon look loaded.
-		Jobs:         s.store.active(),
+		Jobs:         active,
 		RetainedJobs: s.store.count(),
 		ModelsBuilt:  ps.ModelsBuilt,
 		ModelHits:    ps.ModelHits,
-		ActiveJobs:   s.store.active(),
+		ActiveJobs:   active,
 		Capacity:     s.capacity(),
 		Build:        buildInfo(),
 	}

@@ -426,6 +426,76 @@ func TestCancelWhileQueued(t *testing.T) {
 	waitTerminal(t, base, blocker.ID)
 }
 
+// TestHealthActiveJobsCounter follows /v1/healthz's active-job count
+// through cancellation: one running and one queued job count 2, and
+// cancelling both brings active_jobs (and jobs) back to 0 while both stay
+// retained. A submit that loses the race against shutdown is admitted and
+// then removed; it must leave the counts where they were.
+func TestHealthActiveJobsCounter(t *testing.T) {
+	srv, base := newTestServer(t, Config{Workers: 1})
+	running := postJob(t, base, SubmitRequest{
+		GraphText: paperText(t),
+		System:    json.RawMessage(`"ring:3"`),
+		Engine:    "test-block",
+	})
+	waitState(t, base, running.ID, StateRunning)
+	<-testBlocker.running
+	queued := postJob(t, base, SubmitRequest{GraphText: paperText(t), System: json.RawMessage(`"ring:3"`)})
+	if st := getStatus(t, base, queued.ID); st.State != StateQueued {
+		t.Fatalf("second job state = %s, want queued behind the blocker", st.State)
+	}
+	if h := getHealth(t, base); h.ActiveJobs != 2 || h.Jobs != 2 {
+		t.Fatalf("healthz with one running and one queued job: active_jobs %d, jobs %d; want 2, 2", h.ActiveJobs, h.Jobs)
+	}
+
+	for _, id := range []string{queued.ID, running.ID} {
+		req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		waitState(t, base, id, StateCancelled)
+	}
+	h := getHealth(t, base)
+	if h.ActiveJobs != 0 || h.Jobs != 0 || h.RetainedJobs != 2 {
+		t.Fatalf("healthz after cancelling both: active_jobs %d, jobs %d, retained_jobs %d; want 0, 0, 2",
+			h.ActiveJobs, h.Jobs, h.RetainedJobs)
+	}
+
+	// Lose the shutdown race: hold closeMu so the submit parks after its
+	// store entry, then start shutting down before letting it see that.
+	body := mustJSON(t, SubmitRequest{GraphText: paperText(t), System: json.RawMessage(`"ring:3"`)})
+	srv.closeMu.Lock()
+	result := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			result <- 0
+			return
+		}
+		resp.Body.Close()
+		result <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.store.count() != 3 {
+		if time.Now().After(deadline) {
+			srv.closeMu.Unlock()
+			t.Fatal("the racing submit never reached the store")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.baseCancel()
+	srv.closeMu.Unlock()
+	if code := <-result; code != http.StatusServiceUnavailable {
+		t.Fatalf("submit that lost the shutdown race: got %d, want 503", code)
+	}
+	if a, n := srv.store.active(), srv.store.count(); a != 0 || n != 2 {
+		t.Fatalf("after the removed submit: active %d, retained %d; want 0, 2", a, n)
+	}
+}
+
 // TestServerCloseCancelsJobs starts a blocking job and shuts the server
 // down; Close must return promptly (the worker was freed) and the job must
 // read cancelled.

@@ -132,18 +132,30 @@ const (
 	opDelete                // the job left the store (sweep, eviction, remove)
 )
 
-// memStore retains jobs in memory, bounded two ways: terminal jobs older
-// than ttl are swept on every access, and when the population hits cap the
-// oldest terminal job is evicted to admit a new one. Active jobs are never
-// evicted — a full store of purely active jobs rejects new submissions,
-// which is the backpressure a bounded service wants.
+// memStore retains jobs in memory, bounded two ways: a terminal job is
+// dropped once it finished more than ttl ago, and when the population hits
+// cap the terminal job that finished first is evicted to admit a new one.
+// Active jobs are never evicted — a full store of purely active jobs
+// rejects new submissions, which is the backpressure a bounded service
+// wants.
+//
+// Every request-path operation is O(1) amortized. The retained terminal
+// jobs wait in byFinish, a queue in finish order: finish appends under mu,
+// where it stamps j.finished, so the TTL sweep pops expired jobs off the
+// head and eviction takes the head without scanning. nActive counts the
+// queued and running jobs for active(). Only list and stateCounts, which
+// serve the list endpoint and /metrics, walk the table.
 type memStore struct {
 	mu   sync.Mutex //icpp98:lockscope every request path crosses this store
 	jobs map[string]*job
-	cap  int
-	ttl  time.Duration
-	seq  int64
-	now  func() time.Time // injectable clock for eviction tests
+	// byFinish holds exactly the retained terminal jobs, earliest finish
+	// first; nActive is the number of retained jobs not in it.
+	byFinish jobQueue
+	nActive  int
+	cap      int
+	ttl      time.Duration
+	seq      int64
+	now      func() time.Time // injectable clock for eviction tests
 	// sink, when non-nil, observes every mutation under mu — the hook the
 	// file-backed store persists through. Running it under the lock keeps
 	// the WAL ordered exactly like the in-memory history.
@@ -176,6 +188,7 @@ func (st *memStore) add(j *job) (string, error) {
 	j.created = st.now()
 	j.done = make(chan struct{})
 	st.jobs[j.id] = j
+	st.nActive++
 	st.persistLocked(opPut, j)
 	return j.id, nil
 }
@@ -186,8 +199,12 @@ func (st *memStore) add(j *job) (string, error) {
 func (st *memStore) remove(id string) {
 	st.mu.Lock()
 	if j, ok := st.jobs[id]; ok {
-		delete(st.jobs, id)
-		st.persistLocked(opDelete, j)
+		if terminal(j.state) {
+			st.byFinish.remove(j)
+		} else {
+			st.nActive--
+		}
+		st.dropLocked(j)
 	}
 	st.mu.Unlock()
 }
@@ -228,13 +245,7 @@ func (st *memStore) count() int {
 func (st *memStore) active() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	n := 0
-	for _, j := range st.jobs {
-		if !terminal(j.state) {
-			n++
-		}
-	}
-	return n
+	return st.nActive
 }
 
 // stateCounts returns the retained-job population per state — the
@@ -250,40 +261,85 @@ func (st *memStore) stateCounts() map[string]int {
 	return out
 }
 
-// sweepLocked drops terminal jobs whose TTL has lapsed.
+// sweepLocked drops terminal jobs whose TTL has lapsed. They are the head
+// of byFinish, so it stops at the first job still within the TTL.
 func (st *memStore) sweepLocked() {
 	if st.ttl <= 0 {
 		return
 	}
 	cutoff := st.now().Add(-st.ttl)
-	for id, j := range st.jobs {
-		if terminal(j.state) && j.finished.Before(cutoff) {
-			delete(st.jobs, id)
-			st.persistLocked(opDelete, j)
-		}
+	for j := st.byFinish.front(); j != nil && j.finished.Before(cutoff); j = st.byFinish.front() {
+		st.dropLocked(st.byFinish.pop())
 	}
 }
 
 // evictOldestTerminalLocked removes the terminal job that finished first;
 // it reports false when every retained job is still active.
 func (st *memStore) evictOldestTerminalLocked() bool {
-	var victim string
-	var oldest time.Time
-	for id, j := range st.jobs {
-		if !terminal(j.state) {
-			continue
-		}
-		if victim == "" || j.finished.Before(oldest) {
-			victim, oldest = id, j.finished
-		}
-	}
-	if victim == "" {
+	j := st.byFinish.pop()
+	if j == nil {
 		return false
 	}
-	j := st.jobs[victim]
-	delete(st.jobs, victim)
-	st.persistLocked(opDelete, j)
+	st.dropLocked(j)
 	return true
+}
+
+// dropLocked deletes a job from the table and persists the deletion; the
+// caller has already taken it off byFinish or out of nActive.
+func (st *memStore) dropLocked(j *job) {
+	delete(st.jobs, j.id)
+	st.persistLocked(opDelete, j)
+}
+
+// jobQueue is a FIFO of jobs: the live jobs are buf[head:]. push first
+// compacts the slice once at least half of it is popped slots, so each
+// compaction copies no more jobs than were popped since the last one, and a
+// queue that pops as often as it pushes keeps reusing one backing array.
+type jobQueue struct {
+	buf  []*job
+	head int
+}
+
+// front returns the oldest job, or nil when the queue is empty.
+func (q *jobQueue) front() *job {
+	if q.head == len(q.buf) {
+		return nil
+	}
+	return q.buf[q.head]
+}
+
+// pop removes and returns the oldest job, or nil when the queue is empty.
+func (q *jobQueue) pop() *job {
+	j := q.front()
+	if j != nil {
+		q.buf[q.head] = nil
+		q.head++
+	}
+	return j
+}
+
+// push appends j as the newest job.
+func (q *jobQueue) push(j *job) {
+	if q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, j)
+}
+
+// remove takes j out of the queue wherever it sits. It scans, so it is
+// O(n); only memStore.remove calls it, for a job that is already terminal.
+func (q *jobQueue) remove(j *job) {
+	live := q.buf[q.head:]
+	for i, x := range live {
+		if x == j {
+			copy(live[i:], live[i+1:])
+			live[len(live)-1] = nil
+			q.buf = q.buf[:len(q.buf)-1]
+			return
+		}
+	}
 }
 
 // persistLocked feeds the persistence sink; a no-op for the pure
@@ -366,6 +422,8 @@ func (st *memStore) finish(j *job, result *JobResult, errMessage string, payload
 	if j.result != nil {
 		j.result.State = j.state
 	}
+	st.nActive--
+	st.byFinish.push(j)
 	st.persistLocked(opPut, j)
 	if j.state == StateDone && payload != nil {
 		st.cache.Put(j.cacheKey, payload)
