@@ -33,10 +33,11 @@
 //
 //	icpp98 client -addr http://localhost:8098 submit -engine astar -procs ring:3 -wait g.tg
 //
-// With -cluster the daemon embeds the internal/cluster coordinator:
-// icpp98worker processes register over /v1/workers, queued jobs are leased
-// to them (with heartbeat-based failover back onto survivors), and the
-// daemon's local pool remains the transparent fallback when no workers are
+// With -cluster the daemon embeds the internal/cluster coordinator, whose
+// queue becomes the daemon's only job queue: icpp98worker processes
+// register over /v1/workers and lease queued jobs (with heartbeat-based
+// failover back onto survivors), and the daemon's own pool slots take the
+// jobs no worker has a free slot for — every job, when no workers are
 // registered. See DESIGN.md §9.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: in-flight searches are

@@ -7,8 +7,8 @@
 //	icpp98worker -coordinator http://localhost:8098 -slots 8
 //
 // Add workers on as many machines as you like; the daemon's job API is
-// unchanged and falls back to its local pool when no workers are
-// registered. SIGINT/SIGTERM drain gracefully: in-flight jobs are handed
+// unchanged, and its own pool slots take the queued jobs no worker has a
+// free slot for (all of them when no workers are registered). SIGINT/SIGTERM drain gracefully: in-flight jobs are handed
 // back to the coordinator for re-leasing before the process exits.
 //
 // A coordinator restart is survivable: the worker keeps solving through

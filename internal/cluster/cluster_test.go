@@ -292,8 +292,35 @@ func TestClusterMatchesLocalByteForByte(t *testing.T) {
 	if h.Capacity != 1+2 {
 		t.Fatalf("aggregate capacity = %d, want local 1 + cluster 2", h.Capacity)
 	}
-	if h.Cluster.Dispatched < int64(len(reqs)) {
-		t.Fatalf("dispatched = %d, want >= %d", h.Cluster.Dispatched, len(reqs))
+	// Remote-first placement guarantees the first two jobs a lease (both
+	// remote slots are idle when they arrive); the third may run on either
+	// side. Each job ran exactly once — one lease that ended done, or one
+	// daemon-side solve — and every lease granted was such a run.
+	if h.Cluster.Dispatched < 2 {
+		t.Fatalf("dispatched = %d, want >= 2", h.Cluster.Dispatched)
+	}
+	var leasedRuns int64
+	for i, id := range clusterIDs {
+		var tr server.TraceResponse
+		if code := getJSON(t, clusterURL+"/v1/jobs/"+id+"/trace", &tr); code != http.StatusOK {
+			t.Fatalf("trace %s: got %d", id, code)
+		}
+		leased, local := 0, 0
+		for _, sp := range tr.Spans {
+			switch {
+			case sp.Name == "lease" && sp.Origin == obs.OriginCoordinator && sp.Attrs["outcome"] == "done":
+				leased++
+			case sp.Name == "solve" && sp.Origin == obs.OriginDaemon:
+				local++
+			}
+		}
+		if leased+local != 1 {
+			t.Errorf("job %d ran %d times on the cluster and %d locally, want exactly once", i, leased, local)
+		}
+		leasedRuns += int64(leased)
+	}
+	if leasedRuns != h.Cluster.Dispatched {
+		t.Fatalf("%d leased runs, but dispatched = %d", leasedRuns, h.Cluster.Dispatched)
 	}
 
 	// The cluster view of /v1/engines: both workers advertise astar.
@@ -312,6 +339,113 @@ func TestClusterMatchesLocalByteForByte(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("engines listing misses astar")
+	}
+}
+
+var gatePlace = newGate("gate-place", 1<<30)
+
+// TestLocalSlotDrainsClusterQueue pins placement decided when a job is
+// handed out, not at admission: with the only remote worker and the
+// daemon's only local slot both held on gate jobs, a third job queues, and
+// once the local gate is released the local slot must take it while the
+// remote worker is still held.
+func TestLocalSlotDrainsClusterQueue(t *testing.T) {
+	gatePlace.reset()
+	coord, url := newCluster(t, server.Config{Workers: 1}, testTimings())
+	startWorker(t, coord, url, "held", 1)
+	submit := func(engine string) string {
+		return postJob(t, url, server.SubmitRequest{
+			Graph:  paperGraphJSON(t),
+			System: json.RawMessage(`"ring:3"`),
+			Engine: engine,
+		})
+	}
+
+	remote := submit(gatePlace.name)
+	<-gatePlace.started // the idle remote worker takes the first job
+	if h := coord.Health(); h.Leased != 1 {
+		t.Fatalf("first job: cluster health %+v, want it leased", h)
+	}
+	local := submit(gatePlace.name)
+	<-gatePlace.started // the remote slot is taken: the local slot takes the second
+	queued := submit("astar")
+	waitFor(t, "the third job to queue", func() bool { return coord.Health().Pending == 1 })
+
+	req, _ := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+local, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := waitTerminal(t, url, queued); st.State != server.StateDone || st.Length != 14 || !st.Optimal {
+		t.Fatalf("queued job = state %s length %d optimal %v (error %q), want done/14/true",
+			st.State, st.Length, st.Optimal, st.Error)
+	}
+	var st server.JobStatus
+	getJSON(t, url+"/v1/jobs/"+remote, &st)
+	if st.State != server.StateRunning {
+		t.Fatalf("remote job state = %s, want still running on the held worker", st.State)
+	}
+	var tr server.TraceResponse
+	if code := getJSON(t, url+"/v1/jobs/"+queued+"/trace", &tr); code != http.StatusOK {
+		t.Fatalf("trace: got %d", code)
+	}
+	var solved bool
+	for _, sp := range tr.Spans {
+		if sp.Name == "lease" {
+			t.Errorf("queued job was leased: %+v", sp)
+		}
+		solved = solved || (sp.Name == "solve" && sp.Origin == obs.OriginDaemon)
+	}
+	if !solved {
+		t.Errorf("queued job has no daemon solve span: %+v", tr.Spans)
+	}
+	if h := coord.Health(); h.Dispatched != 1 {
+		t.Fatalf("dispatched = %d, want 1 (the held remote job only)", h.Dispatched)
+	}
+}
+
+// TestNilResultReportFailsJob: a worker's terminal report that sets done
+// but carries neither a result nor an error must not leave the job
+// reading done with no schedule — the job fails with a message.
+func TestNilResultReportFailsJob(t *testing.T) {
+	cfg := testTimings()
+	cfg.WorkerTimeout = 30 * time.Second // the hand-driven worker polls slowly
+	_, url := newCluster(t, server.Config{Workers: 1}, cfg)
+	post := func(path string, body, out any) {
+		t.Helper()
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url+path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: got %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var reg RegisterResponse
+	post("/v1/workers/register", RegisterRequest{ProtocolVersion: ProtocolVersion, Name: "hollow", Capacity: 1}, &reg)
+	id := postJob(t, url, server.SubmitRequest{Graph: paperGraphJSON(t), System: json.RawMessage(`"ring:3"`)})
+	var lease LeaseResponse
+	waitFor(t, "the job's lease", func() bool {
+		post("/v1/workers/lease", LeaseRequest{ProtocolVersion: ProtocolVersion, WorkerID: reg.WorkerID}, &lease)
+		return lease.Job != nil
+	})
+	if lease.Job.ID != id {
+		t.Fatalf("leased %s, want %s", lease.Job.ID, id)
+	}
+	var ack ReportResponse
+	post("/v1/workers/jobs/"+id+"/report", ReportRequest{ProtocolVersion: ProtocolVersion, WorkerID: reg.WorkerID, Done: true}, &ack)
+	st := waitTerminal(t, url, id)
+	if st.State != server.StateFailed || st.Error == "" {
+		t.Fatalf("result-less report: job state %s (error %q), want failed with a message", st.State, st.Error)
 	}
 }
 

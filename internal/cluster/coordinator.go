@@ -5,13 +5,18 @@
 // its local solver pool, and streams progress and results back.
 //
 // The client-facing job API is unchanged in both modes. The coordinator
-// implements server.Dispatcher: a submitted job is offered to the cluster
-// first and falls back transparently to the daemon's local pool when no
-// workers are registered (or every eligible worker has already failed it).
-// Liveness is heartbeat-based — lease polls and job reports refresh a
-// worker's last-seen time — and every lease carries a deadline: a job on a
-// dead or silent worker is re-queued onto the survivors with a bounded
-// retry count, after which it fails with the collected reason. The
+// implements server.ClusterBackend: its pending queue is the clustered
+// daemon's only job queue, and every free slot drains it — a remote
+// worker's through a lease, a daemon pool slot through a direct call
+// under the coordinator lock (no lease, no journal record, no reports: a
+// local slot lives and dies with the coordinator's process). Placement is
+// remote-first, decided when a job is handed out: a local slot takes a job
+// only when no live worker the job may run on has a free slot for it, so
+// a daemon with no workers serves every job from its own pool. Liveness is
+// heartbeat-based — lease polls and job reports refresh a worker's
+// last-seen time — and every lease carries a deadline: a job on a dead or
+// silent worker is re-queued onto the survivors (or a local slot) with a
+// bounded retry count, after which it fails with the collected reason. The
 // parallelization story follows the multi-machine scaling of optimal task
 // scheduling in Orr & Sinnen and Akram et al. (PAPERS.md): whole-job
 // sharding here, the substrate for search-tree sharding later.
@@ -25,6 +30,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -141,14 +147,11 @@ type workerState struct {
 	leased   map[string]*task // job ID → task
 }
 
-// outcome resolves one dispatched task. fallback means the cluster gives
-// the job back for a local solve; otherwise res/errMessage mirror the
-// local solve contract (nil res + empty errMessage is a result-less end,
-// e.g. cancellation).
+// outcome resolves one dispatched task, mirroring the solve contract:
+// nil res + empty errMessage is a result-less end (cancellation).
 type outcome struct {
 	res        *server.JobResult
 	errMessage string
-	fallback   bool
 }
 
 // task is one dispatched job's lease-table entry.
@@ -156,15 +159,11 @@ type task struct {
 	job  server.DispatchJob
 	ctx  context.Context
 	done chan outcome // buffered(1); receives exactly one outcome
-	// rawGraph/rawSystem are the instance's wire bytes, marshalled once at
-	// Dispatch time (outside the coordinator lock) and reused by every
-	// lease attempt.
-	rawGraph, rawSystem json.RawMessage
 
 	attempts    int             // leases granted (1-based on the wire)
 	failures    int             // attempts lost to death/expiry — what MaxAttempts bounds
 	excluded    map[string]bool // workers that already failed (or handed back) this job
-	worker      string          // "" while pending
+	worker      string          // "" while pending or on a local slot
 	workerName  string          // the leased worker's human label, for spans/logs
 	leaseStart  time.Time       // when the current lease was granted
 	leaseExpiry time.Time
@@ -177,6 +176,9 @@ type task struct {
 	basePE, basePF   int64 // pruning counters, same fold discipline
 	lastPE, lastPF   int64
 	resolved         bool
+	// local marks a task taken by a local slot: it is neither pending nor
+	// leased, and only its solve resolves it.
+	local bool
 
 	// token is the lease's adoption credential (see LeasedJob.Token);
 	// leased marks a durable lease record journaled for this task, so
@@ -228,14 +230,16 @@ type Coordinator struct {
 
 	closeOnce sync.Once
 	closed    chan struct{}
+	local     sync.WaitGroup // the local slots, waited for by Close
 }
 
-// NewCoordinator builds a coordinator and starts its failure detector.
+// NewCoordinator builds a coordinator and starts its failure detector;
+// ServeLocal (server.EnableCluster calls it) starts its local slots.
 // With a durable lease journal configured, the previous incarnation's
 // surviving leases are parked for adoption synchronously here — before
 // any HTTP traffic can arrive — so a worker that re-registers is never
 // told to abandon a lease the journal still vouches for. Close it to stop
-// the detector and give every unresolved job back to the local pool.
+// the detector and the local slots.
 func NewCoordinator(cfg Config) *Coordinator {
 	logger := cfg.Logger
 	if logger == nil {
@@ -273,20 +277,112 @@ func NewCoordinator(cfg Config) *Coordinator {
 // Handler implements server.ClusterBackend.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
-// Close stops the failure detector and resolves every unresolved task as
-// a local fallback, so no Dispatch caller is left blocked.
+// msgClosed fails the tasks still unresolved when the coordinator
+// closes, and refuses dispatches that arrive after.
+const msgClosed = "cluster: coordinator closed"
+
+// Close stops the failure detector, fails every unresolved task, so no
+// Dispatch caller is left blocked, and returns once the local slots have
+// exited. Close the server first: that cancels every job, so no local
+// solve is left running.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.closed)
 		c.mu.Lock()
 		for _, t := range c.tasks {
-			c.resolveLocked(t, outcome{fallback: true})
+			c.resolveLocked(t, outcome{errMessage: msgClosed})
 		}
 		c.mu.Unlock()
 	})
+	c.local.Wait()
 }
 
-// broadcastLocked wakes every lease long-poll to re-check the queue.
+// ServeLocal implements server.ClusterBackend: it starts slots local
+// consumers of the pending queue, each solving the jobs it takes with
+// solve, until Close.
+func (c *Coordinator) ServeLocal(slots int, solve server.LocalSolve) {
+	c.local.Add(slots)
+	for range slots {
+		go func() {
+			defer c.local.Done()
+			c.serveLocal(solve)
+		}()
+	}
+}
+
+// serveLocal is one local slot: take the next job no remote worker is
+// free to run, solve it outside the lock, resolve it, repeat. It sleeps on
+// the broadcast channel, which every change to the placement answer (an
+// enqueue, grant, requeue, registration, or reap) closes.
+func (c *Coordinator) serveLocal(solve server.LocalSolve) {
+	for {
+		c.mu.Lock()
+		t, started := c.takeLocalLocked()
+		wake := c.wake
+		c.mu.Unlock()
+		if t == nil {
+			select {
+			case <-wake:
+				continue
+			case <-c.closed:
+				return
+			}
+		}
+		if started != nil {
+			started()
+		}
+		res, errMessage := solve(t.ctx, t.job)
+		c.mu.Lock()
+		c.resolveLocked(t, outcome{res: res, errMessage: errMessage})
+		c.mu.Unlock()
+	}
+}
+
+// takeLocalLocked pops the first pending task that no remote worker is
+// free to run and marks it local. Placement is remote-first: walking the
+// queue in FIFO order, each task that a live worker with a free slot may
+// run claims one of the free remote slots, and only a task left without
+// one is local work. It returns the job's Started callback, as
+// grantLocked does.
+func (c *Coordinator) takeLocalLocked() (*task, func()) {
+	free := 0
+	for _, w := range c.workers {
+		free += max(w.capacity-len(w.leased), 0)
+	}
+	for i, t := range c.pending {
+		if free > 0 && c.remoteFreeLocked(t) {
+			free--
+			continue
+		}
+		c.pending = append(c.pending[:i], c.pending[i+1:]...)
+		t.local = true
+		return t, t.startLocked()
+	}
+	return nil, nil
+}
+
+// remoteFreeLocked reports whether a live worker t may run has a free slot.
+func (c *Coordinator) remoteFreeLocked(t *task) bool {
+	for id, w := range c.workers {
+		if len(w.leased) < w.capacity && !t.excluded[id] {
+			return true
+		}
+	}
+	return false
+}
+
+// startLocked returns the job's Started callback (to invoke outside the
+// lock) the first time the job starts anywhere, nil after.
+func (t *task) startLocked() func() {
+	if t.started {
+		return nil
+	}
+	t.started = true
+	return t.job.Started
+}
+
+// broadcastLocked wakes every lease long-poll and idle local slot to
+// re-check the queue.
 func (c *Coordinator) broadcastLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
@@ -345,16 +441,6 @@ func (c *Coordinator) resolveLocked(t *task, out outcome) {
 	t.done <- out //icpp98:allow lockscope buffered(1) and guarded by t.resolved: delivered at most once, the send can never block
 }
 
-// eligibleLocked reports whether any live worker may still run the task.
-func (c *Coordinator) eligibleLocked(t *task) bool {
-	for id := range c.workers {
-		if !t.excluded[id] {
-			return true
-		}
-	}
-	return false
-}
-
 // leaseSpanLocked closes the task's current lease attempt as one trace
 // span — origin "coordinator", stamped with the worker, the 1-based
 // attempt number, and how the attempt ended ("done", "error", or the
@@ -373,14 +459,15 @@ func (t *task) leaseSpanLocked(outcome string) {
 
 // requeueLocked puts a leased task back in the queue after its worker
 // died, went silent, or handed it back — or resolves it when retrying is
-// pointless: cancelled (result-less cancelled end), out of failure budget
-// (failed with the collected reasons), or no eligible worker left (local
-// fallback). budgeted distinguishes a real failure (death, expiry) from a
-// graceful hand-back: only failures count against MaxAttempts, so a
-// rolling restart of the fleet never turns a healthy job into a failed
-// one — it just keeps re-homing until a steady worker (or the local pool)
-// finishes it. The worker is excluded from this task either way: a
-// draining or flaky worker must not be handed the same job straight back.
+// pointless: cancelled (result-less cancelled end) or out of failure
+// budget (failed with the collected reasons). budgeted distinguishes a
+// real failure (death, expiry) from a graceful hand-back: only failures
+// count against MaxAttempts, so a rolling restart of the fleet never turns
+// a healthy job into a failed one — it just keeps re-homing until a steady
+// worker (or a local slot) finishes it. The worker is excluded from this
+// task either way: a draining or flaky worker must not be handed the same
+// job straight back, and a task no remote worker may run waits for a
+// local slot.
 func (c *Coordinator) requeueLocked(t *task, reason string, budgeted bool) {
 	c.failovers++
 	t.leaseSpanLocked(reason)
@@ -413,8 +500,6 @@ func (c *Coordinator) requeueLocked(t *task, reason string, budgeted bool) {
 	case t.failures >= c.cfg.MaxAttempts:
 		c.resolveLocked(t, outcome{errMessage: fmt.Sprintf(
 			"cluster: job gave out after %d failed attempts: %s", t.failures, strings.Join(t.reasons, "; "))})
-	case !c.eligibleLocked(t):
-		c.resolveLocked(t, outcome{fallback: true})
 	default:
 		c.pending = append(c.pending, t)
 		c.broadcastLocked()
@@ -422,8 +507,8 @@ func (c *Coordinator) requeueLocked(t *task, reason string, budgeted bool) {
 }
 
 // reap is the failure detector: deregister silent workers (re-queueing
-// their leases), re-queue expired leases, and fall pending tasks that no
-// live worker may run back to the local pool.
+// their leases, and waking the local slots, which the dead worker's free
+// slots no longer hold off) and re-queue expired leases.
 func (c *Coordinator) reap() {
 	ticker := time.NewTicker(c.cfg.ReapInterval)
 	defer ticker.Stop()
@@ -440,6 +525,7 @@ func (c *Coordinator) reap() {
 				continue
 			}
 			delete(c.workers, id)
+			c.broadcastLocked()
 			c.log.Warn("worker reaped",
 				"worker", w.name, "worker_id", id,
 				"silent_ms", now.Sub(w.lastSeen).Milliseconds(), "leased", len(w.leased))
@@ -476,62 +562,30 @@ func (c *Coordinator) reap() {
 			}
 			c.parked = map[string]*parkedLease{}
 		}
-		for _, t := range append([]*task(nil), c.pending...) {
-			if t.ctx.Err() != nil {
-				c.resolveLocked(t, outcome{})
-			} else if !c.eligibleLocked(t) {
-				c.resolveLocked(t, outcome{fallback: true})
-			}
-		}
 		c.mu.Unlock()
 	}
 }
 
-// Dispatch implements server.Dispatcher: enqueue the job for leasing and
-// block until the cluster resolves it. It declines immediately (handled =
-// false) when no workers are registered — the transparent local fallback.
-// A dispatch carrying a recovered lease (job.Resume) never declines on an
-// empty registry: its worker may still be long-polling its way back, so
-// the task parks in the adoption window instead.
-func (c *Coordinator) Dispatch(ctx context.Context, job server.DispatchJob) (*server.JobResult, string, bool) {
-	if job.Resume == nil {
-		c.mu.Lock()
-		if len(c.workers) == 0 {
-			c.mu.Unlock()
-			return nil, "", false
-		}
-		c.mu.Unlock()
-	}
-	// Serialize the instance once, outside the lock: every lease attempt
-	// sends identical bytes, and lease grants must not hold the global
-	// mutex through a graph-sized marshal. A validated instance cannot
-	// fail to encode; if it somehow does, that is this job's failure, not
-	// a queue wedge.
-	rawGraph, err := json.Marshal(job.Graph)
-	if err != nil {
-		return nil, fmt.Sprintf("cluster: encode graph: %v", err), true
-	}
-	rawSystem, err := json.Marshal(job.System)
-	if err != nil {
-		return nil, fmt.Sprintf("cluster: encode system: %v", err), true
-	}
+// Dispatch implements server.Dispatcher: enqueue the job and block until
+// a remote worker or a local slot resolves it. A dispatch carrying a
+// recovered lease (job.Resume) parks in the adoption window instead: its
+// worker may still be long-polling its way back.
+func (c *Coordinator) Dispatch(ctx context.Context, job server.DispatchJob) (*server.JobResult, string) {
 	t := &task{
-		job:       job,
-		ctx:       ctx,
-		done:      make(chan outcome, 1),
-		rawGraph:  rawGraph,
-		rawSystem: rawSystem,
-		excluded:  map[string]bool{},
+		job:      job,
+		ctx:      ctx,
+		done:     make(chan outcome, 1),
+		excluded: map[string]bool{},
 	}
 	c.mu.Lock()
 	// The closed re-check happens under the same critical section as the
 	// enqueue: Close resolves the task table while holding the mutex, so
-	// a task admitted here is either seen and drained by Close or refused
+	// a task admitted here is either seen and failed by Close or refused
 	// — never stranded between the two.
 	select {
 	case <-c.closed:
 		c.mu.Unlock()
-		return nil, "", false
+		return nil, msgClosed
 	default:
 	}
 	var started func()
@@ -553,16 +607,17 @@ func (c *Coordinator) Dispatch(ctx context.Context, job server.DispatchJob) (*se
 	case <-ctx.Done():
 		// Cancellation resolves promptly: a pending task ends result-less
 		// here and now; a leased one likewise — its worker learns on the
-		// next report (410) and stops within one expansion.
+		// next report (410) and stops within one expansion. A local slot's
+		// solve sees the same context and returns its incumbent within one
+		// expansion, so it resolves the task itself.
 		c.mu.Lock()
-		c.resolveLocked(t, outcome{})
+		if !t.local {
+			c.resolveLocked(t, outcome{})
+		}
 		c.mu.Unlock()
 		out = <-t.done
 	}
-	if out.fallback {
-		return nil, "", false
-	}
-	return out.res, out.errMessage, true
+	return out.res, out.errMessage
 }
 
 // resumeLocked installs a re-dispatched recovered job into the lease
@@ -660,20 +715,6 @@ func (c *Coordinator) Capacity() int {
 	return n
 }
 
-// FreeSlots implements server.Dispatcher: remote slots neither leased nor
-// already claimed by a pending job. The server uses it as a placement
-// hint — a saturated cluster does not soak up jobs an idle local slot
-// could be solving.
-func (c *Coordinator) FreeSlots() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	free := -len(c.pending)
-	for _, w := range c.workers {
-		free += w.capacity - len(w.leased)
-	}
-	return max(free, 0)
-}
-
 // Health implements server.Dispatcher.
 func (c *Coordinator) Health() *server.ClusterHealth {
 	c.mu.Lock()
@@ -759,6 +800,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	c.workers[id] = ws
 	adoptions := c.adoptHeldLocked(ws, req.HeldLeases)
+	c.broadcastLocked()
 	c.mu.Unlock()
 	c.log.Info("worker registered",
 		"worker", req.Name, "worker_id", id,
@@ -870,10 +912,24 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ws.lastSeen = time.Now()
-		if lease, started := c.grantLocked(ws, token); lease != nil {
+		if lease, t, started := c.grantLocked(ws, token); lease != nil {
 			c.mu.Unlock()
 			if started != nil {
 				started()
+			}
+			// The instance is serialized here, outside the lock: a grant must
+			// not hold the lease table through a graph-sized marshal, and a
+			// job a local slot solves is never marshalled at all. A validated
+			// instance cannot fail to encode; if one does, that is this job's
+			// failure, not a queue wedge.
+			var gerr, serr error
+			lease.Graph, gerr = json.Marshal(t.job.Graph)
+			lease.System, serr = json.Marshal(t.job.System)
+			if err := errors.Join(gerr, serr); err != nil {
+				c.mu.Lock()
+				c.resolveLocked(t, outcome{errMessage: "cluster: encode instance: " + err.Error()})
+				c.mu.Unlock()
+				lease = nil
 			}
 			server.WriteJSON(w, http.StatusOK, LeaseResponse{Job: lease})
 			return
@@ -905,11 +961,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 // grantLocked pops the first pending task this worker may run and leases
-// it under the caller-minted token. It returns the job's Started callback
-// (to invoke outside the lock) the first time the job is ever leased.
-func (c *Coordinator) grantLocked(ws *workerState, token string) (*LeasedJob, func()) {
+// it under the caller-minted token. It returns the lease without its
+// instance (the caller fills that in outside the lock), the task, and the
+// job's Started callback (startLocked).
+func (c *Coordinator) grantLocked(ws *workerState, token string) (*LeasedJob, *task, func()) {
 	if len(ws.leased) >= ws.capacity {
-		return nil, nil
+		return nil, nil, nil
 	}
 	for i := 0; i < len(c.pending); {
 		t := c.pending[i]
@@ -936,24 +993,22 @@ func (c *Coordinator) grantLocked(ws *workerState, token string) (*LeasedJob, fu
 		c.log.Info("lease granted",
 			"job", t.job.ID, "trace_id", t.job.TraceID,
 			"worker", ws.name, "worker_id", ws.id, "attempt", t.attempts)
+		if len(c.pending) > 0 {
+			// The worker's slot is spoken for: a job queued behind this one
+			// may now be local work.
+			c.broadcastLocked()
+		}
 		lease := &LeasedJob{
 			ID:      t.job.ID,
 			Attempt: t.attempts,
-			Graph:   t.rawGraph,
-			System:  t.rawSystem,
 			Engines: t.job.Engines,
 			Config:  t.job.Config,
 			TraceID: t.job.TraceID,
 			Token:   t.token,
 		}
-		var started func()
-		if !t.started {
-			t.started = true
-			started = t.job.Started
-		}
-		return lease, started
+		return lease, t, t.startLocked()
 	}
-	return nil, nil
+	return nil, nil, nil
 }
 
 // handleReport ingests a worker's progress or terminal report. 404 means
@@ -1030,9 +1085,9 @@ func (c *Coordinator) ingestReportLocked(t *task, ws *workerState, req *ReportRe
 	case req.Abandon:
 		// Abandon hands back exactly this job (docs/API.md): it re-queues
 		// without charging the failure budget, and the handing-back worker
-		// is excluded from it — so a sole draining worker's job falls to
-		// the local pool immediately instead of bouncing back to it, while
-		// the worker's other leases run on untouched.
+		// is excluded from it — so a sole draining worker's job goes to a
+		// local slot immediately instead of bouncing back to it, while the
+		// worker's other leases run on untouched.
 		c.requeueLocked(t, fmt.Sprintf("worker %s (%s) handed the job back", ws.name, ws.id), false)
 	case req.Done:
 		ws.jobsDone++

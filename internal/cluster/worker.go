@@ -455,9 +455,6 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 	}
 	decode.End("tasks", strconv.Itoa(g.NumNodes()))
 
-	cfg := lease.Config.EngineConfig()
-	progress.Attach(&cfg)
-
 	// The reporter doubles as the cancellation listener: a Cancel ack (or a
 	// 410 for a lease the coordinator already revoked) stops the solve,
 	// which then returns its incumbent within one expansion.
@@ -514,34 +511,10 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 		}
 	}()
 
-	var res *server.JobResult
-	var errMessage string
-	solve := rec.Start("solve", origin)
-	if len(lease.Engines) > 1 {
-		pf, err := w.pool.SolvePortfolio(jobCtx, g, sys, lease.Engines, cfg)
-		if err != nil {
-			errMessage = err.Error()
-		} else {
-			res = server.JobResultFromPortfolio(lease.ID, pf)
-		}
-	} else {
-		name := ""
-		if len(lease.Engines) == 1 {
-			name = lease.Engines[0]
-		}
-		resp := w.pool.Solve(jobCtx, solverpool.Request{Graph: g, System: sys, Engine: name, Config: cfg})
-		if resp.Err != nil {
-			errMessage = resp.Err.Error()
-		} else {
-			res = server.JobResultFromSolve(lease.ID, resp)
-		}
-	}
-	switch {
-	case errMessage != "":
-		solve.End("engines", strings.Join(lease.Engines, ","), "outcome", "error")
-	default:
-		solve.End("engines", strings.Join(lease.Engines, ","))
-	}
+	res, errMessage := server.Solve(jobCtx, w.pool, server.DispatchJob{
+		ID: lease.ID, Graph: g, System: sys, Engines: lease.Engines,
+		Config: lease.Config, Progress: progress, Trace: rec,
+	}, origin)
 	cancelJob()
 	stopReg := time.AfterFunc(terminalReportTimeout, cancelReg)
 	<-reporterDone

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -472,12 +473,45 @@ func decodeSystem(raw json.RawMessage, defaultProcs int) (*procgraph.System, err
 	}
 }
 
-// JobResultFromSolve builds the wire result of a single-engine solve. It
+// Solve runs one job's instance on pool — a portfolio race when several
+// engines are named, else the single engine (the registry default when
+// none is) — under the job's wire budget, feeding job.Progress and
+// recording the "solve" span on job.Trace under origin. It is the one
+// solve path: a daemon's semaphore-gated jobs, a clustered daemon's local
+// slots, and a cluster worker's leases all run it, so a remote solve
+// reports byte-identical payloads to a local one. A solve that yields no
+// schedule returns a nil result with an empty message, and the job then
+// fails (finishJob) unless it was interrupted.
+func Solve(ctx context.Context, pool *solverpool.Pool, job DispatchJob, origin string) (*JobResult, string) {
+	cfg := job.Config.EngineConfig()
+	job.Progress.Attach(&cfg)
+	span := job.Trace.Start("solve", origin)
+	if len(job.Engines) > 1 {
+		pf, err := pool.SolvePortfolio(ctx, job.Graph, job.System, job.Engines, cfg)
+		if err != nil {
+			span.End("engines", engineKey(job.Engines), "outcome", "error")
+			return nil, err.Error()
+		}
+		span.End("engines", engineKey(job.Engines), "winner", pf.Winner)
+		return jobResultFromPortfolio(job.ID, pf), ""
+	}
+	name := ""
+	if len(job.Engines) == 1 {
+		name = job.Engines[0]
+	}
+	resp := pool.Solve(ctx, solverpool.Request{Graph: job.Graph, System: job.System, Engine: name, Config: cfg})
+	if resp.Err != nil {
+		span.End("engine", name, "outcome", "error")
+		return nil, resp.Err.Error()
+	}
+	span.End("engine", name)
+	return jobResultFromSolve(job.ID, resp), ""
+}
+
+// jobResultFromSolve builds the wire result of a single-engine solve. It
 // returns nil when the response carries no schedule (an engine-contract
-// violation the caller records as a schedule-less terminal state rather
-// than panic on). Shared by the local run path and the cluster worker, so
-// a remote solve reports byte-identical payloads to a local one.
-func JobResultFromSolve(id string, resp solverpool.Response) *JobResult {
+// violation the job records as a failure rather than panic on).
+func jobResultFromSolve(id string, resp solverpool.Response) *JobResult {
 	if resp.Result == nil || resp.Result.Schedule == nil {
 		return nil
 	}
@@ -492,10 +526,10 @@ func JobResultFromSolve(id string, resp solverpool.Response) *JobResult {
 	}
 }
 
-// JobResultFromPortfolio builds the wire result of a portfolio race,
+// jobResultFromPortfolio builds the wire result of a portfolio race,
 // summarizing the cancelled losers and outright failures. Nil when the
 // winner has no schedule.
-func JobResultFromPortfolio(id string, pf *solverpool.PortfolioResult) *JobResult {
+func jobResultFromPortfolio(id string, pf *solverpool.PortfolioResult) *JobResult {
 	if pf.Result == nil || pf.Result.Schedule == nil {
 		return nil
 	}

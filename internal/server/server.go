@@ -28,9 +28,10 @@
 //
 // cmd/icpp98d wraps this package as a daemon; `icpp98 client` is the
 // command-line client. EnableCluster attaches an internal/cluster
-// coordinator (via the Dispatcher/ClusterBackend interfaces defined here)
-// that leases queued jobs to remote icpp98worker processes and falls back
-// to the local pool when none are registered.
+// coordinator (via the Dispatcher/ClusterBackend interfaces defined here):
+// its pending queue becomes the daemon's only job queue, drained by remote
+// icpp98worker processes over HTTP and by the daemon's own pool slots
+// through direct calls, remote first.
 package server
 
 import (
@@ -93,12 +94,12 @@ type Config struct {
 	SlowJob time.Duration
 }
 
-// DispatchJob is the server-side view of a job a Dispatcher may run on
-// remote capacity: the decoded instance, the submitter's wire budget, and
-// the two hooks that feed the job's observable lifecycle (Started fires
-// markRunning when a worker picks the job up; Progress is the job's live
-// progress, into which the coordinator folds the worker's reported
-// counters and gauges).
+// DispatchJob is the server-side view of a job a Dispatcher runs: the
+// decoded instance, the submitter's wire budget, and the two hooks that
+// feed the job's observable lifecycle (Started fires markRunning when a
+// remote worker or a local slot picks the job up; Progress is the job's
+// live progress, into which the coordinator folds a remote worker's
+// reported counters and gauges, and which a local solve feeds directly).
 type DispatchJob struct {
 	ID       string
 	Graph    *taskgraph.Graph
@@ -111,8 +112,8 @@ type DispatchJob struct {
 	// and spans correlate with the coordinator's trace.
 	TraceID string
 	// Trace, when non-nil, receives the lifecycle spans the coordinator
-	// observes (lease grants, failovers) and the spans remote workers
-	// report back.
+	// observes (lease grants, failovers), the spans remote workers report
+	// back, and a local slot's solve span.
 	Trace *obs.Recorder
 	// Resume, when non-nil, marks this dispatch as the re-offer of a job
 	// recovered after a restart with a live lease record: the coordinator
@@ -122,26 +123,23 @@ type DispatchJob struct {
 	Resume *LeaseRecord
 }
 
+// LocalSolve solves one job on the daemon's own pool. EnableCluster hands
+// it to the cluster backend, whose local slots call it directly.
+type LocalSolve func(ctx context.Context, job DispatchJob) (res *JobResult, errMessage string)
+
 // Dispatcher is the cluster hook: internal/cluster's coordinator
-// implements it, and the server consults it before falling back to the
-// local pool. Defined here (not in internal/cluster) so the dependency
-// points downward: cluster imports server for the wire types, never the
-// reverse.
+// implements it, and a clustered server hands it every job that misses
+// the schedule cache. Defined here (not in internal/cluster) so the
+// dependency points downward: cluster imports server for the wire types,
+// never the reverse.
 type Dispatcher interface {
-	// Dispatch offers the job to remote capacity and blocks until the
-	// cluster resolves it. handled=false means the cluster did not (and
-	// will not) run this job — no live workers, every eligible worker
-	// already failed it, or capacity vanished mid-flight — and the caller
-	// must solve it on the local pool instead.
-	Dispatch(ctx context.Context, job DispatchJob) (res *JobResult, errMessage string, handled bool)
+	// Dispatch queues the job and blocks until it is resolved — solved by
+	// a remote worker or a local slot, failed, or cancelled (a nil result
+	// with an empty message).
+	Dispatch(ctx context.Context, job DispatchJob) (res *JobResult, errMessage string)
 	// Capacity is the live remote slot count, aggregated into the backlog
 	// backpressure check and /v1/healthz.
 	Capacity() int
-	// FreeSlots is the live count of remote slots not leased or spoken
-	// for — the placement hint: when the cluster is saturated and a local
-	// pool slot is idle, the server solves locally instead of queueing the
-	// job behind busy workers.
-	FreeSlots() int
 	// Health snapshots the coordinator for /v1/healthz.
 	Health() *ClusterHealth
 	// EngineWorkers counts live workers per advertised engine name for
@@ -151,10 +149,13 @@ type Dispatcher interface {
 
 // ClusterBackend is what EnableCluster mounts: a Dispatcher plus the
 // HTTP handler serving the /v1/workers endpoints (registration, leasing,
-// reporting, listing).
+// reporting, listing), and the hook that starts its local slots.
 type ClusterBackend interface {
 	Dispatcher
 	Handler() http.Handler
+	// ServeLocal starts slots in-process consumers of the dispatch queue,
+	// each solving the jobs it takes with solve.
+	ServeLocal(slots int, solve LocalSolve)
 }
 
 // Server is the solve daemon: an http.Handler plus the job runner behind
@@ -256,13 +257,15 @@ func Open(cfg Config) (*Server, error) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// EnableCluster attaches a cluster backend: queued jobs are offered to its
-// remote workers before the local pool, its capacity joins the backlog
-// backpressure check, and its /v1/workers endpoints are mounted on the
-// server's mux. Call before serving traffic — the dispatch field is read
-// without a lock on every job.
+// EnableCluster attaches a cluster backend: every job that misses the
+// schedule cache goes to its queue, which remote workers and the daemon's
+// own pool slots drain, its capacity joins the backlog backpressure check,
+// and its /v1/workers endpoints are mounted on the server's mux. Call
+// before serving traffic — the dispatch field is read without a lock on
+// every job.
 func (s *Server) EnableCluster(b ClusterBackend) {
 	s.dispatcher = b
+	b.ServeLocal(s.pool.Workers(), s.solve)
 	s.mux.Handle("/v1/workers", b.Handler())
 	s.mux.Handle("/v1/workers/", b.Handler())
 }
@@ -310,8 +313,6 @@ func (s *Server) ResumeRecovered() int {
 		}
 		jobCtx, cancel := context.WithCancel(s.baseCtx)
 		j.cancel = cancel
-		cfg := j.config.EngineConfig()
-		j.progress.Attach(&cfg)
 		s.closeMu.Lock()
 		if s.baseCtx.Err() != nil {
 			s.closeMu.Unlock()
@@ -325,58 +326,9 @@ func (s *Server) ResumeRecovered() int {
 		s.log.Info("resuming recovered job",
 			"job", j.id, "trace_id", lease.TraceID,
 			"worker_id", lease.WorkerID, "attempt", lease.Attempt)
-		go s.resume(jobCtx, j, cfg, lease)
+		go s.run(jobCtx, j, lease)
 	}
 	return n
-}
-
-// resume is the lifecycle goroutine of a recovered job: like run, minus
-// admission and the cache lookup (the job is past both), plus the
-// recovered lease riding the dispatch so the coordinator re-adopts
-// instead of re-leasing. A cluster that declines falls back to the local
-// pool — the job restarts from scratch there, which is still strictly
-// better than failing it.
-func (s *Server) resume(ctx context.Context, j *job, cfg engine.Config, lease *LeaseRecord) {
-	defer s.wg.Done()
-	defer j.cancel()
-	ring := obs.NewRing(0)
-	j.ring.Store(ring)
-	stopSampler := obs.StartSampler(ctx, j.progress, s.sample, ring)
-	j.stopSampler.Store(&stopSampler)
-	defer stopSampler()
-	if d := s.dispatcher; d != nil {
-		dispatch := j.trace.Start("dispatch", obs.OriginDaemon)
-		res, errMessage, handled := d.Dispatch(ctx, s.dispatchJob(j, lease))
-		dispatch.End("handled", strconv.FormatBool(handled), "resume", "true")
-		if handled {
-			s.finishJob(ctx, j, res, errMessage)
-			return
-		}
-	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		s.finishJob(ctx, j, nil, "")
-		return
-	}
-	s.runLocal(ctx, j, cfg)
-}
-
-// dispatchJob is the Dispatcher's view of j; lease is the recovered lease
-// record when the job is being resumed after a restart, nil otherwise.
-func (s *Server) dispatchJob(j *job, lease *LeaseRecord) DispatchJob {
-	return DispatchJob{
-		ID:       j.id,
-		Graph:    j.graph,
-		System:   j.system,
-		Engines:  j.engines,
-		Config:   j.config,
-		Started:  func() { s.store.markRunning(j) },
-		Progress: j.progress,
-		TraceID:  j.trace.TraceID(),
-		Trace:    j.trace,
-		Resume:   lease,
-	}
 }
 
 // capacity is the aggregate solve-slot count: the local pool plus every
@@ -513,9 +465,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		"job", id, "trace_id", j.trace.TraceID(),
 		"engines", engineKey(names), "cache", j.cacheNote)
 
-	cfg := req.Config.EngineConfig()
-	j.progress.Attach(&cfg)
-
 	// Admission and Close are serialized so the WaitGroup never grows
 	// after Close started waiting; a submit that loses the race is turned
 	// away like any other post-shutdown request.
@@ -530,7 +479,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.wg.Add(1)
 	s.closeMu.Unlock()
-	go s.run(jobCtx, j, cfg)
+	go s.run(jobCtx, j, nil)
 
 	WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: id, State: StateQueued})
 }
@@ -547,6 +496,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) finishJob(ctx context.Context, j *job, res *JobResult, errMessage string) {
 	if ctx.Err() != nil {
 		s.store.noteInterrupted(j)
+	} else if res == nil && errMessage == "" {
+		// Only an interrupted job may end without a result: a solve (local
+		// or a remote worker's report) that hands back neither a schedule
+		// nor an error must not read done.
+		errMessage = "solve ended without a result"
 	}
 	// The payload is marshaled here, outside the store lock, as the done
 	// result it becomes; the store keeps it only if the job settles done,
@@ -607,13 +561,15 @@ func (s *Server) logFinish(j *job, final, errMessage string) {
 	s.log.Info("job finished", attrs...)
 }
 
-// run is the job's lifecycle goroutine: offer the job to the cluster when
-// one is attached, else wait for a local worker slot and solve on the
-// pool. Placement prefers a free remote slot (that is what the fleet is
-// for), but a saturated cluster never starves an idle local slot.
-// Cancellation while queued never touches the pool, and a cluster that
-// declines (or gives up on) the job falls through to the local path.
-func (s *Server) run(ctx context.Context, j *job, cfg engine.Config) {
+// run is the job's lifecycle goroutine: answer from the schedule cache
+// when it can, else hand the job to the cluster's queue when one is
+// attached (the coordinator places it on a remote worker or a local slot),
+// else wait for a local slot and solve on the pool. lease, when non-nil,
+// is the recovered lease of a job resumed after a restart: the job is past
+// the cache lookup, and the lease rides the dispatch so the coordinator
+// re-adopts instead of re-leasing. Cancellation while queued never touches
+// the pool.
+func (s *Server) run(ctx context.Context, j *job, lease *LeaseRecord) {
 	defer s.wg.Done()
 	defer j.cancel()
 	// The schedule cache answers first: an identical prior submission's
@@ -623,7 +579,7 @@ func (s *Server) run(ctx context.Context, j *job, cfg engine.Config) {
 	// The job still transitions queued → running → done (markRunning also
 	// honors a cancel that beat us here), with zero progress counters —
 	// the observable proof that no search ran.
-	if j.cacheOK && !j.cacheBypass {
+	if lease == nil && j.cacheOK && !j.cacheBypass {
 		lookup := j.trace.Start("cache", obs.OriginDaemon)
 		if data, ok := s.cache.Get(j.cacheKey); ok {
 			var res JobResult
@@ -650,28 +606,28 @@ func (s *Server) run(ctx context.Context, j *job, cfg engine.Config) {
 	stopSampler := obs.StartSampler(ctx, j.progress, s.sample, ring)
 	j.stopSampler.Store(&stopSampler)
 	defer stopSampler()
+	job := DispatchJob{
+		ID:       j.id,
+		Graph:    j.graph,
+		System:   j.system,
+		Engines:  j.engines,
+		Config:   j.config,
+		Started:  func() { s.store.markRunning(j) },
+		Progress: j.progress,
+		TraceID:  j.trace.TraceID(),
+		Trace:    j.trace,
+		Resume:   lease,
+	}
 	if d := s.dispatcher; d != nil {
-		if d.FreeSlots() <= 0 {
-			// Every remote slot is busy (or absent) at admission time: an
-			// idle local slot takes the job now rather than queueing it
-			// behind the fleet. The choice is made once — a job placed on
-			// the cluster stays there even if a local slot frees up later
-			// (re-placement would need lease-withdrawal semantics that
-			// risk misrecording a running job as cancelled).
-			select {
-			case s.sem <- struct{}{}:
-				s.runLocal(ctx, j, cfg)
-				return
-			default:
-			}
-		}
 		dispatch := j.trace.Start("dispatch", obs.OriginDaemon)
-		res, errMessage, handled := d.Dispatch(ctx, s.dispatchJob(j, nil))
-		dispatch.End("handled", strconv.FormatBool(handled))
-		if handled {
-			s.finishJob(ctx, j, res, errMessage)
-			return
+		res, errMessage := d.Dispatch(ctx, job)
+		if lease != nil {
+			dispatch.End("resume", "true")
+		} else {
+			dispatch.End()
 		}
+		s.finishJob(ctx, j, res, errMessage)
+		return
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -679,45 +635,20 @@ func (s *Server) run(ctx context.Context, j *job, cfg engine.Config) {
 		s.finishJob(ctx, j, nil, "")
 		return
 	}
-	s.runLocal(ctx, j, cfg)
-}
-
-// runLocal solves the job on the local pool; the caller has already
-// acquired a semaphore slot, which is released here.
-func (s *Server) runLocal(ctx context.Context, j *job, cfg engine.Config) {
 	defer func() { <-s.sem }()
 	if !s.store.markRunning(j) {
 		s.finishJob(ctx, j, nil, "")
 		return
 	}
+	res, errMessage := s.solve(ctx, job)
+	s.finishJob(ctx, j, res, errMessage)
+}
 
-	solve := j.trace.Start("solve", obs.OriginDaemon)
-	if len(j.engines) > 1 {
-		pf, err := s.pool.SolvePortfolio(ctx, j.graph, j.system, j.engines, cfg)
-		if err != nil {
-			solve.End("engines", engineKey(j.engines), "outcome", "error")
-			s.finishJob(ctx, j, nil, err.Error())
-			return
-		}
-		solve.End("engines", engineKey(j.engines), "winner", pf.Winner)
-		s.finishJob(ctx, j, JobResultFromPortfolio(j.id, pf), "")
-		return
-	}
-
-	resp := s.pool.Solve(ctx, solverpool.Request{
-		Graph: j.graph, System: j.system, Engine: j.engines[0], Config: cfg,
-	})
-	if resp.Err != nil {
-		solve.End("engine", j.engines[0], "outcome", "error")
-		s.finishJob(ctx, j, nil, resp.Err.Error())
-		return
-	}
-	solve.End("engine", j.engines[0])
-	// Engines contract a non-nil schedule, but a daemon must not be one
-	// registry bug away from a goroutine panic: JobResultFromSolve returns
-	// nil for a schedule-less response and the job records a schedule-less
-	// terminal state instead.
-	s.finishJob(ctx, j, JobResultFromSolve(j.id, resp), "")
+// solve is the daemon's LocalSolve: the job on its own pool, with the
+// solve span recorded as the daemon's. A plain daemon's semaphore slots
+// and a clustered daemon's local slots both run it.
+func (s *Server) solve(ctx context.Context, job DispatchJob) (*JobResult, string) {
+	return Solve(ctx, s.pool, job, obs.OriginDaemon)
 }
 
 // lookup resolves the {id} path segment, writing the 404 itself when the

@@ -835,20 +835,16 @@ func TestBudgetCutBnbJob(t *testing.T) {
 	}
 }
 
-// fakeDispatcher stubs the cluster hook: it either claims every job with
-// a canned outcome or declines everything (exercising the local
-// fallback), and reports a fixed capacity for the aggregate views.
+// fakeDispatcher stubs the cluster hook: it claims every job with a
+// canned outcome, and reports a fixed capacity for the aggregate views.
+// Its local slots are never started — every job resolves in Dispatch.
 type fakeDispatcher struct {
-	handled    bool
 	res        *JobResult
 	errMessage string
 	capacity   int
 }
 
-func (d *fakeDispatcher) Dispatch(ctx context.Context, job DispatchJob) (*JobResult, string, bool) {
-	if !d.handled {
-		return nil, "", false
-	}
+func (d *fakeDispatcher) Dispatch(ctx context.Context, job DispatchJob) (*JobResult, string) {
 	job.Started()
 	job.Progress.Record(42, 99)
 	res := d.res
@@ -857,16 +853,16 @@ func (d *fakeDispatcher) Dispatch(ctx context.Context, job DispatchJob) (*JobRes
 		cp.ID = job.ID
 		res = &cp
 	}
-	return res, d.errMessage, true
+	return res, d.errMessage
 }
 
-func (d *fakeDispatcher) Capacity() int  { return d.capacity }
-func (d *fakeDispatcher) FreeSlots() int { return d.capacity }
+func (d *fakeDispatcher) Capacity() int { return d.capacity }
 func (d *fakeDispatcher) Health() *ClusterHealth {
 	return &ClusterHealth{Workers: 1, Capacity: d.capacity}
 }
-func (d *fakeDispatcher) EngineWorkers() map[string]int { return map[string]int{"astar": 1} }
-func (d *fakeDispatcher) Handler() http.Handler         { return http.NotFoundHandler() }
+func (d *fakeDispatcher) EngineWorkers() map[string]int          { return map[string]int{"astar": 1} }
+func (d *fakeDispatcher) Handler() http.Handler                  { return http.NotFoundHandler() }
+func (d *fakeDispatcher) ServeLocal(slots int, solve LocalSolve) {}
 
 // TestDispatcherHandlesJob wires a fake cluster backend that claims every
 // job: the job must finish with the dispatcher's result, its progress must
@@ -875,7 +871,6 @@ func (d *fakeDispatcher) Handler() http.Handler         { return http.NotFoundHa
 func TestDispatcherHandlesJob(t *testing.T) {
 	srv, base := newTestServer(t, Config{Workers: 2})
 	srv.EnableCluster(&fakeDispatcher{
-		handled:  true,
 		capacity: 5,
 		res: &JobResult{
 			Engine: "astar", Length: 14, Optimal: true, BoundFactor: 1,
@@ -920,23 +915,11 @@ func TestDispatcherHandlesJob(t *testing.T) {
 	}
 }
 
-// TestDispatcherFallbackRunsLocally wires a dispatcher that declines every
-// job: the local pool must solve it exactly as without a cluster.
-func TestDispatcherFallbackRunsLocally(t *testing.T) {
-	srv, base := newTestServer(t, Config{})
-	srv.EnableCluster(&fakeDispatcher{handled: false})
-	sub := postJob(t, base, SubmitRequest{GraphText: paperText(t), System: json.RawMessage(`"ring:3"`)})
-	st := waitTerminal(t, base, sub.ID)
-	if st.State != StateDone || st.Length != 14 || !st.Optimal {
-		t.Fatalf("fallback job = %+v", st)
-	}
-}
-
 // TestDispatcherFailedJob: a dispatcher error message lands the job in
 // the failed state with that reason.
 func TestDispatcherFailedJob(t *testing.T) {
 	srv, base := newTestServer(t, Config{})
-	srv.EnableCluster(&fakeDispatcher{handled: true, capacity: 1, errMessage: "cluster: job gave out after 3 attempts: boom"})
+	srv.EnableCluster(&fakeDispatcher{capacity: 1, errMessage: "cluster: job gave out after 3 attempts: boom"})
 	sub := postJob(t, base, SubmitRequest{GraphText: paperText(t), System: json.RawMessage(`"ring:3"`)})
 	st := waitTerminal(t, base, sub.ID)
 	if st.State != StateFailed || !strings.Contains(st.Error, "3 attempts") {

@@ -361,8 +361,8 @@ func terminal(state string) bool {
 }
 
 // markRunning transitions queued → running, idempotently: a job that is
-// already running stays running and still reports true (the local fallback
-// path may re-mark a job a remote worker started before dying). It reports
+// already running stays running and still reports true (a job resumed
+// after a restart was running before it). It reports
 // false only for a terminal job — cancelled while still queued — in which
 // case the caller must not run the solve.
 func (st *memStore) markRunning(j *job) bool {
