@@ -55,8 +55,12 @@ import (
 )
 
 func main() {
+	var names []string
+	for _, e := range bench.Experiments {
+		names = append(names, e.Name)
+	}
 	var (
-		experiment   = flag.String("experiment", "all", "table1 | fig6 | fig7 | ablation | pruning | distribution | deviation | engines | large | speedup | all")
+		experiment   = flag.String("experiment", "all", strings.Join(append(names, "all"), " | "))
 		sizes        = flag.String("sizes", "", "comma-separated graph sizes (default 10,12,14,16; speedup: 80,128)")
 		ccrs         = flag.String("ccrs", "", "comma-separated CCRs (default 0.1,1,10)")
 		ppes         = flag.String("ppes", "", "comma-separated PPE/worker counts for fig6 and speedup (default 2,4,8,16; speedup: 1,2,4,8)")
@@ -124,51 +128,27 @@ func main() {
 	defer plan.Close()
 
 	var gateFailures []string
-	run := func(name string) {
+	run := func(e bench.Experiment) {
 		started := time.Now()
-		fmt.Fprintf(os.Stderr, "running %s...\n", name)
-		var res bench.Result
-		switch name {
-		case "table1":
-			res = bench.RunTable1(cfg)
-		case "fig6":
-			res = bench.RunFig6(cfg)
-		case "fig7":
-			res = bench.RunFig7(cfg)
-		case "ablation":
-			res = bench.RunAblation(cfg)
-		case "pruning":
-			res = bench.RunPruning(cfg)
-		case "distribution":
-			res = bench.RunDistribution(cfg)
-		case "deviation":
-			res = bench.RunDeviation(cfg)
-		case "engines":
-			res = bench.RunEngines(cfg)
-		case "large":
-			res = bench.RunLarge(cfg)
-		case "speedup":
-			res = bench.RunSpeedup(cfg)
-		default:
-			fatal(fmt.Errorf("unknown experiment %q", name))
-		}
-		w, closeTable, err := plan.tableWriter(name)
+		fmt.Fprintf(os.Stderr, "running %s...\n", e.Name)
+		rep := e.Run(cfg)
+		w, closeTable, err := plan.tableWriter(e.Name)
 		if err != nil {
 			fatal(err)
 		}
-		if err := bench.Write(w, *format, res); err != nil {
+		if err := bench.Write(w, *format, rep); err != nil {
 			fatal(err)
 		}
 		if err := closeTable(); err != nil {
 			fatal(err)
 		}
 		if *jsonOut {
-			if path, ok := plan.jsonPath(name); ok {
+			if path, ok := plan.jsonPath(e.Name); ok {
 				f, err := os.Create(path)
 				if err != nil {
 					fatal(err)
 				}
-				if err := bench.WriteJSON(f, name, res); err != nil {
+				if err := bench.WriteJSON(f, rep); err != nil {
 					f.Close()
 					fatal(err)
 				}
@@ -180,16 +160,19 @@ func main() {
 		}
 		// A gate failure (an engine error, or an experiment's own invariant)
 		// fails the whole process after reporting.
-		gateFailures = append(gateFailures, res.FailureList()...)
-		fmt.Fprintf(os.Stderr, "%s done in %v\n", name, time.Since(started).Round(time.Millisecond))
+		gateFailures = append(gateFailures, rep.Failures...)
+		fmt.Fprintf(os.Stderr, "%s done in %v\n", e.Name, time.Since(started).Round(time.Millisecond))
 	}
 
-	if *experiment == "all" {
-		for _, name := range []string{"table1", "fig6", "fig7", "ablation", "pruning", "distribution", "deviation", "engines", "large", "speedup"} {
-			run(name)
+	found := false
+	for _, e := range bench.Experiments {
+		if *experiment == "all" || *experiment == e.Name {
+			found = true
+			run(e)
 		}
-	} else {
-		run(*experiment)
+	}
+	if !found {
+		fatal(fmt.Errorf("unknown experiment %q", *experiment))
 	}
 	if len(gateFailures) > 0 {
 		for _, f := range gateFailures {

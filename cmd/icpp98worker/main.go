@@ -9,7 +9,8 @@
 // Add workers on as many machines as you like; the daemon's job API is
 // unchanged, and its own pool slots take the queued jobs no worker has a
 // free slot for (all of them when no workers are registered). SIGINT/SIGTERM drain gracefully: in-flight jobs are handed
-// back to the coordinator for re-leasing before the process exits.
+// back to the coordinator for re-leasing, and the worker leaves the
+// cluster, before the process exits.
 //
 // A coordinator restart is survivable: the worker keeps solving through
 // the outage, re-registers when the daemon answers again, and presents

@@ -2,32 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/parallel"
 )
-
-// AblationRow measures one engine configuration on one instance.
-type AblationRow struct {
-	CCR      float64
-	V        int
-	Variant  string
-	Time     time.Duration
-	Expanded int64
-	Length   int32
-	Optimal  bool
-}
-
-// AblationResult is the per-technique breakdown the paper's §4.2 summarizes
-// as "the pruning techniques reduce the running times consistently by about
-// 20%", extended with the heuristic-function and duplicate-check ablations.
-type AblationResult struct {
-	Rows   []AblationRow
-	Config Config
-	gate
-}
 
 // serialVariants enumerates the ablated configurations of the serial engine.
 func serialVariants() []struct {
@@ -52,10 +31,13 @@ func serialVariants() []struct {
 }
 
 // RunAblation measures each pruning technique's individual contribution and
-// the strengthened heuristic, per CCR and size.
-func RunAblation(cfg Config) *AblationResult {
+// the strengthened heuristic, per CCR and size: the per-technique breakdown
+// the paper's §4.2 summarizes as "the pruning techniques reduce the running
+// times consistently by about 20%", extended with the heuristic-function
+// and duplicate-check ablations.
+func RunAblation(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	res := &AblationResult{Config: cfg}
+	rep := newReport("ablation", cfg)
 	for _, ccr := range cfg.CCRs {
 		for _, v := range cfg.Sizes {
 			g, sys := cfg.instance(ccr, v)
@@ -63,32 +45,31 @@ func RunAblation(cfg Config) *AblationResult {
 				ecfg := variant.Cfg
 				ecfg.MaxExpanded = cfg.CellBudget
 				ecfg.Timeout = cfg.CellTimeout
-				c, err := runCell("astar", g, sys, ecfg)
+				rec, err := runCell("astar", g, sys, ecfg)
 				if err != nil {
-					res.failf("ablation %s: %v", variant.Name, err)
+					rep.failf("ablation %s: %v", variant.Name, err)
 					continue
 				}
-				res.Rows = append(res.Rows, AblationRow{
-					CCR: ccr, V: v, Variant: variant.Name,
-					Time: c.Time, Expanded: c.Expanded, Length: c.Length, Optimal: c.Optimal,
-				})
+				rec.CCR, rec.Variant = ccr, variant.Name
+				rep.Records = append(rep.Records, rec)
 			}
 		}
 	}
-	return res
+	return rep
 }
 
-// Tables renders the ablation matrix.
-func (r *AblationResult) Tables() []*table {
+// ablationTables renders the ablation matrix.
+func ablationTables(r *Report) []*table {
 	t := &table{
 		Title:  "Ablation — individual pruning techniques and heuristic variants (serial A*)",
-		Header: []string{"CCR", "v", "variant", "time", "states expanded", "SL", "optimal"},
+		Header: []string{"CCR", "v", "variant", "time", "states expanded", "generated", "SL", "optimal"},
 	}
-	for _, row := range r.Rows {
+	for i := range r.Records {
+		rec := &r.Records[i]
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%g", row.CCR), fmt.Sprint(row.V), row.Variant,
-			fmtDuration(row.Time), fmt.Sprint(row.Expanded), fmt.Sprint(row.Length),
-			fmt.Sprint(row.Optimal),
+			fmt.Sprintf("%g", rec.CCR), fmt.Sprint(rec.V), rec.Variant,
+			fmtDuration(rec.wall()), fmt.Sprint(rec.Expanded), fmt.Sprint(rec.Generated),
+			fmt.Sprint(rec.Makespan), fmt.Sprint(rec.Optimal),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -96,90 +77,76 @@ func (r *AblationResult) Tables() []*table {
 	return []*table{t}
 }
 
-// DistributionRow measures one parallel distribution policy.
-type DistributionRow struct {
-	CCR            float64
-	V              int
-	PPEs           int
-	Policy         string
-	Time           time.Duration
-	Expanded       int64
-	WorkRatio      float64
-	ModeledSpeedup float64
-	Optimal        bool
+// distributionPolicies are the parallel engine's state-distribution
+// policies the distribution experiment compares: the paper's neighbor
+// round-robin placement and hash-based state-space partitioning (ref. [15]).
+var distributionPolicies = []struct {
+	Name string
+	Dist parallel.Distribution
+}{
+	{"neighbor-rr (paper)", parallel.DistributeNeighborRR},
+	{"hash (ref. 15)", parallel.DistributeHash},
 }
 
-// DistributionResult compares the paper's neighbor round-robin placement
-// against hash-based state-space partitioning (ref. [15]).
-type DistributionResult struct {
-	Rows   []DistributionRow
-	Config Config
-	gate
-}
-
-// RunDistribution measures both distribution policies across PPE counts.
-func RunDistribution(cfg Config) *DistributionResult {
+// RunDistribution measures both distribution policies across PPE counts,
+// against the serial A* run on each instance; instances the serial run
+// does not prove are skipped.
+func RunDistribution(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	res := &DistributionResult{Config: cfg}
-	policies := []struct {
-		Name string
-		Dist parallel.Distribution
-	}{
-		{"neighbor-rr (paper)", parallel.DistributeNeighborRR},
-		{"hash (ref. 15)", parallel.DistributeHash},
-	}
+	rep := newReport("distribution", cfg)
 	for _, ccr := range cfg.CCRs {
 		for _, v := range cfg.Sizes {
 			g, sys := cfg.instance(ccr, v)
-			serial, _, err := solve("astar", g, sys, cfg.cellConfig())
+			serial, err := runCell("astar", g, sys, cfg.cellConfig())
 			if err != nil {
-				res.failf("distribution: %v", err)
+				rep.failf("distribution: %v", err)
 				continue
 			}
+			serial.CCR = ccr
+			rep.Records = append(rep.Records, serial)
 			if !serial.Optimal {
 				continue
 			}
 			for _, q := range cfg.PPEs {
-				for _, pol := range policies {
-					pcfg := cfg.cellConfig()
-					pcfg.PPEs = q
+				for _, pol := range distributionPolicies {
+					pcfg := cfg.parallelConfig(q)
 					pcfg.Distribution = pol.Dist
-					pcfg.PeriodFloor = cfg.PeriodFloor
-					pcfg.MaxExpanded = cfg.CellBudget * int64(q)
-					par, parTime, err := solve("parallel", g, sys, pcfg)
+					par, err := runCell("parallel", g, sys, pcfg)
 					if err != nil {
-						res.failf("distribution %s PPEs=%d: %v", pol.Name, q, err)
+						rep.failf("distribution %s PPEs=%d: %v", pol.Name, q, err)
 						continue
 					}
-					row := DistributionRow{
-						CCR: ccr, V: v, PPEs: q, Policy: pol.Name,
-						Time:      parTime,
-						Expanded:  par.Stats.Expanded,
-						WorkRatio: float64(par.Stats.Expanded) / float64(serial.Stats.Expanded),
-						Optimal:   par.Optimal,
-					}
-					if par.Stats.CriticalWork > 0 {
-						row.ModeledSpeedup = float64(serial.Stats.Expanded) / float64(par.Stats.CriticalWork)
-					}
-					res.Rows = append(res.Rows, row)
+					par.CCR, par.Variant = ccr, pol.Name
+					rep.Records = append(rep.Records, par)
 				}
 			}
 		}
 	}
-	return res
+	return rep
 }
 
-// Tables renders the distribution-policy comparison.
-func (r *DistributionResult) Tables() []*table {
+// distributionTables renders the distribution-policy comparison: each
+// parallel run's work ratio and modeled speedup against the serial run.
+func distributionTables(r *Report) []*table {
 	t := &table{
 		Title:  "Ablation — parallel state-distribution policy",
 		Header: []string{"CCR", "v", "PPEs", "policy", "time", "work ratio", "modeled speedup", "optimal"},
 	}
-	for _, row := range r.Rows {
+	for i := range r.Records {
+		par := &r.Records[i]
+		if par.Engine != "parallel" {
+			continue
+		}
+		serial := r.find(func(x *Record) bool { return x.Instance == par.Instance && x.Engine == "astar" })
+		if serial == nil {
+			continue
+		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%g", row.CCR), fmt.Sprint(row.V), fmt.Sprint(row.PPEs), row.Policy,
-			fmtDuration(row.Time), fmt.Sprintf("%.2f", row.WorkRatio),
-			fmt.Sprintf("%.2f", row.ModeledSpeedup), fmt.Sprint(row.Optimal),
+			fmt.Sprintf("%g", par.CCR), fmt.Sprint(par.V), fmt.Sprint(par.Workers), par.Variant,
+			fmtDuration(par.wall()),
+			fmt.Sprintf("%.2f", ratio(float64(par.Expanded), float64(serial.Expanded))),
+			fmt.Sprintf("%.2f", ratio(float64(serial.Expanded), float64(par.CriticalWork))),
+			fmt.Sprint(par.Optimal),
 		})
 	}
 	t.Notes = append(t.Notes,

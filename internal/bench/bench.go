@@ -13,49 +13,57 @@
 // reporting censored cells as "—" exactly like the paper's missing
 // Chen v=32 entry. Use Full (or the -full flag of cmd/icpp98bench) for the
 // complete sweep with a wall-clock budget per cell.
+//
+// Every experiment reports the same way: one Record per measured run, all
+// of them in one Report per experiment. The report is what -json writes;
+// the Markdown and CSV tables are computed from it alone, so a committed
+// baseline renders the same tables as the live run that produced it.
 package bench
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/gen"
 	"repro/internal/procgraph"
 	"repro/internal/taskgraph"
 )
 
-// Config parameterizes an experiment run.
+// Config parameterizes an experiment run. A report carries the config
+// that produced it, so a baseline says how to regenerate it.
 type Config struct {
 	// Sizes are the graph sizes v; nil selects the fast default {10, 12, 14, 16}.
-	Sizes []int
+	Sizes []int `json:"sizes"`
 	// CCRs are the communication-to-computation ratios; nil selects the
 	// paper's {0.1, 1.0, 10.0}.
-	CCRs []float64
+	CCRs []float64 `json:"ccrs"`
 	// Seed drives the §4.1 workload generator.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// TargetProcs returns the target system for a given graph size; nil
 	// selects the paper's v fully-connected homogeneous TPEs.
-	TargetProcs func(v int) *procgraph.System
+	TargetProcs func(v int) *procgraph.System `json:"-"`
 	// CellBudget caps the expansions of one algorithm run on one instance
 	// (0 = the default 300k). Cells that hit it are reported censored.
-	CellBudget int64
+	CellBudget int64 `json:"cell_budget"`
 	// CellTimeout additionally caps wall time per cell (0 = none).
-	CellTimeout time.Duration
+	CellTimeout time.Duration `json:"cell_timeout_ns"`
 	// PPEs are the parallel A* worker counts for Figure 6; nil selects the
 	// paper's {2, 4, 8, 16}.
-	PPEs []int
+	PPEs []int `json:"ppes"`
 	// Epsilons are the Aε* approximation factors for Figure 7; nil selects
 	// the paper's {0.2, 0.5}.
-	Epsilons []float64
+	Epsilons []float64 `json:"epsilons"`
 	// Fig7PPEs is the PPE count for Figure 7; 0 selects the paper's 16.
-	Fig7PPEs int
+	Fig7PPEs int `json:"fig7_ppes"`
 	// PeriodFloor is the parallel engine's minimum communication period
 	// (0 = the paper's 2).
-	PeriodFloor int
+	PeriodFloor int `json:"period_floor"`
 }
 
 func (c Config) withDefaults() Config {
@@ -99,58 +107,65 @@ func (c Config) cellConfig() engine.Config {
 	return engine.Config{MaxExpanded: c.CellBudget, Timeout: c.CellTimeout}
 }
 
-// cellResult is one measured run of one engine on one instance.
-type cellResult struct {
-	Time        time.Duration
-	Expanded    int64
-	Length      int32
-	Optimal     bool
-	PrunedEquiv int64
-	PrunedFTO   int64
+// parallelConfig is the per-cell budget of the parallel engine on q PPEs:
+// the cell budget per PPE, at the configured communication period floor.
+func (c Config) parallelConfig(q int) engine.Config {
+	pcfg := c.cellConfig()
+	pcfg.PPEs = q
+	pcfg.PeriodFloor = c.PeriodFloor
+	pcfg.MaxExpanded = c.CellBudget * int64(q)
+	return pcfg
 }
 
-// solve runs one registry engine on one instance under ecfg and times it.
-// Every harness measurement flows through this single entry point, so
-// adding an engine to the registry adds it to the benchmarks without new
-// harness code. An engine error names the engine and the instance, and
-// the experiment reports it as a gate failure: the tables render a cell
-// that hit its budget as "—", and a failed engine must never read as one.
-func solve(name string, g *taskgraph.Graph, sys *procgraph.System, ecfg engine.Config) (*core.Result, time.Duration, error) {
+// runCell runs one registry engine on one instance under ecfg and times
+// it. Every harness measurement of a registry engine flows through this
+// single entry point, so adding an engine to the registry adds it to the
+// benchmarks without new harness code. An engine error names the engine
+// and the instance, and the experiment reports it as a gate failure: the
+// tables render a cell that hit its budget as "—", and a failed engine
+// must never read as one. The caller fills the record's CCR and Variant.
+func runCell(name string, g *taskgraph.Graph, sys *procgraph.System, ecfg engine.Config) (Record, error) {
 	start := time.Now()
 	r, err := engine.Solve(context.Background(), name, g, sys, ecfg)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%s on %s (%s): %w", name, g.Name(), sys.Name(), err)
+		return Record{}, fmt.Errorf("%s on %s (%s): %w", name, g.Name(), sys.Name(), err)
 	}
-	return r, time.Since(start), nil
+	return newRecord(name, g, sys, ecfg, r, time.Since(start)), nil
 }
 
-// runCell is solve reduced to the counters the tables report.
-func runCell(name string, g *taskgraph.Graph, sys *procgraph.System, ecfg engine.Config) (cellResult, error) {
-	r, d, err := solve(name, g, sys, ecfg)
-	if err != nil {
-		return cellResult{}, err
+// newRecord turns one timed run into a Record. runCell builds every
+// registry engine's record here, the large experiment its portfolio
+// race's, and the deviation experiment its list heuristics' (r nil: the
+// caller sets the makespan). A censored run may carry no schedule (bnb
+// cut off before any goal); its effort counters are still the datum the
+// tables report.
+func newRecord(name string, g *taskgraph.Graph, sys *procgraph.System, ecfg engine.Config, r *core.Result, wall time.Duration) Record {
+	rec := Record{
+		Instance: g.Name(), System: sys.Name(), V: g.NumNodes(), Engine: name,
+		Workers: max(ecfg.PPEs, ecfg.Workers), Epsilon: ecfg.Epsilon,
+		WallMS: float64(wall.Microseconds()) / 1000,
 	}
-	// A censored run may carry no schedule (bnb cut off before any goal);
-	// its effort stats are still the datum the tables report.
-	return cellResult{
-		Time: d, Expanded: r.Stats.Expanded, Length: r.Length, Optimal: r.Optimal,
-		PrunedEquiv: r.Stats.PrunedEquiv, PrunedFTO: r.Stats.PrunedFTO,
-	}, nil
+	if r != nil {
+		rec.Expanded, rec.Generated = r.Stats.Expanded, r.Stats.Generated
+		rec.CriticalWork = r.Stats.CriticalWork
+		rec.PrunedEquiv, rec.PrunedFTO = r.Stats.PrunedEquiv, r.Stats.PrunedFTO
+		rec.Makespan, rec.Optimal, rec.BoundFactor = r.Length, r.Optimal, r.BoundFactor
+	}
+	return rec
 }
 
-// gate is the correctness gate every experiment result embeds: an engine
-// error or a violated invariant appends one line, and cmd/icpp98bench
-// exits non-zero when any experiment reports one.
-type gate struct {
-	// Failures lists the gate violations, one line each.
-	Failures []string
+// wall is the record's wall time at the microsecond resolution it was
+// stored with.
+func (rec *Record) wall() time.Duration {
+	return time.Duration(math.Round(rec.WallMS*1000)) * time.Microsecond
 }
 
-// FailureList exposes the gate result to cmd/icpp98bench.
-func (g *gate) FailureList() []string { return g.Failures }
-
-func (g *gate) failf(format string, args ...any) {
-	g.Failures = append(g.Failures, fmt.Sprintf(format, args...))
+// ratio is a/b, or 0 when b is not positive.
+func ratio(a, b float64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return a / b
 }
 
 func fmtDuration(d time.Duration) string {
@@ -164,7 +179,7 @@ func fmtDuration(d time.Duration) string {
 	}
 }
 
-// table is a generic rendered result: a header row plus data rows.
+// table is one rendered result: a header row plus data rows.
 type table struct {
 	Title  string
 	Header []string
@@ -205,6 +220,22 @@ func (t *table) WriteCSV(w io.Writer) error {
 
 // instance builds the §4.1 instance for one (ccr, v) cell.
 func (c Config) instance(ccr float64, v int) (*taskgraph.Graph, *procgraph.System) {
-	g := mustGraph(ccr, v, c.Seed)
+	g := gen.MustRandom(gen.RandomConfig{
+		V:    v,
+		CCR:  ccr,
+		Seed: c.Seed ^ (uint64(v) * 0xBF58476D1CE4E5B9),
+		Name: fmt.Sprintf("paper-v%d-ccr%g", v, ccr),
+	})
 	return g, c.TargetProcs(v)
+}
+
+// layeredInstance builds the v-node layered STG workload of the large and
+// speedup experiments: v/4 layers of width 4 (zero communication costs)
+// on a complete:8 target.
+func layeredInstance(v int, seed uint64) (*taskgraph.Graph, *procgraph.System, error) {
+	g, err := gen.LayeredSTG(gen.LayeredConfig{Layers: max(v/4, 1), Width: 4, Seed: seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, procgraph.Complete(8), nil
 }

@@ -24,32 +24,65 @@ func fastCfg() Config {
 	}
 }
 
+// EnginesResult is the report of an engines run, as the gate test below
+// names it.
+type EnginesResult = Report
+
+// sibling returns the record of engine and variant on rec's instance.
+func sibling(t *testing.T, rep *Report, rec *Record, engine, variant string) *Record {
+	t.Helper()
+	s := rep.find(func(x *Record) bool {
+		return x.Instance == rec.Instance && x.Engine == engine && x.Variant == variant
+	})
+	if s == nil {
+		t.Fatalf("%s: no %s/%q record", rec.Instance, engine, variant)
+	}
+	return s
+}
+
+// render returns the report's Markdown, failing the test when a title is
+// missing.
+func render(t *testing.T, rep *Report, title string) string {
+	t.Helper()
+	var md bytes.Buffer
+	if err := Write(&md, "md", rep); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(md.String(), title) {
+		t.Errorf("markdown missing %q:\n%s", title, md.String())
+	}
+	return md.String()
+}
+
 func TestRunTable1(t *testing.T) {
 	res := RunTable1(fastCfg())
-	rows := res.Blocks[1.0]
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
+	if len(res.Records) != 3*2 {
+		t.Fatalf("got %d records, want 3 per size", len(res.Records))
 	}
-	for _, r := range rows {
-		if r.Astar.Optimal && r.Full.Optimal && r.Astar.Length != r.Full.Length {
-			t.Errorf("v=%d: pruned and unpruned A* disagree: %d vs %d", r.V, r.Astar.Length, r.Full.Length)
+	for i := range res.Records {
+		chen := &res.Records[i]
+		if chen.Engine != "bnb" {
+			continue
 		}
-		if r.Astar.Optimal && r.Chen.Optimal && r.Astar.Length != r.Chen.Length {
-			t.Errorf("v=%d: A* and Chen disagree: %d vs %d", r.V, r.Astar.Length, r.Chen.Length)
+		full := sibling(t, res, chen, "astar", "no-pruning")
+		astar := sibling(t, res, chen, "astar", "")
+		if astar.Optimal && full.Optimal && astar.Makespan != full.Makespan {
+			t.Errorf("v=%d: pruned and unpruned A* disagree: %d vs %d", chen.V, astar.Makespan, full.Makespan)
 		}
-		if r.Astar.Optimal && r.Full.Optimal && r.Astar.Expanded > r.Full.Expanded {
-			t.Errorf("v=%d: pruning increased expansions: %d > %d", r.V, r.Astar.Expanded, r.Full.Expanded)
+		if astar.Optimal && chen.Optimal && astar.Makespan != chen.Makespan {
+			t.Errorf("v=%d: A* and Chen disagree: %d vs %d", chen.V, astar.Makespan, chen.Makespan)
+		}
+		if astar.Optimal && full.Optimal && astar.Expanded > full.Expanded {
+			t.Errorf("v=%d: pruning increased expansions: %d > %d", chen.V, astar.Expanded, full.Expanded)
 		}
 	}
-	var md, csv bytes.Buffer
-	if err := Write(&md, "md", res); err != nil {
-		t.Fatal(err)
+	md := render(t, res, "Table 1")
+	if !strings.Contains(md, "| v |") {
+		t.Errorf("markdown output malformed:\n%s", md)
 	}
+	var csv bytes.Buffer
 	if err := Write(&csv, "csv", res); err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(md.String(), "Table 1") || !strings.Contains(md.String(), "| v |") {
-		t.Errorf("markdown output malformed:\n%s", md.String())
 	}
 	if !strings.Contains(csv.String(), "v,Chen (time)") {
 		t.Errorf("csv output malformed:\n%s", csv.String())
@@ -58,84 +91,81 @@ func TestRunTable1(t *testing.T) {
 
 func TestRunFig6(t *testing.T) {
 	res := RunFig6(fastCfg())
-	pts := res.Series[1.0]
-	if len(pts) != 4 { // 2 sizes x 2 PPE counts
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		if p.Censored {
+	points := 0
+	for i := range res.Records {
+		par := &res.Records[i]
+		if par.Engine != "parallel" {
 			continue
 		}
-		if p.WallSpeedup <= 0 || p.ModeledSpeedup <= 0 {
-			t.Errorf("non-positive speedup: %+v", p)
+		points++
+		serial := sibling(t, res, par, "astar", "")
+		if !serial.Optimal || !par.Optimal {
+			continue
 		}
-		if p.WorkRatio < 0.5 {
-			t.Errorf("work ratio %v implausibly low", p.WorkRatio)
+		if serial.WallMS/par.WallMS <= 0 || float64(serial.Expanded)/float64(par.CriticalWork) <= 0 {
+			t.Errorf("non-positive speedup: serial %+v parallel %+v", serial, par)
+		}
+		if wr := float64(par.Expanded) / float64(serial.Expanded); wr < 0.5 {
+			t.Errorf("v=%d PPEs=%d: work ratio %v implausibly low", par.V, par.Workers, wr)
 		}
 	}
-	var md bytes.Buffer
-	if err := Write(&md, "md", res); err != nil {
-		t.Fatal(err)
+	if points != 4 { // 2 sizes x 2 PPE counts
+		t.Fatalf("got %d points", points)
 	}
-	if !strings.Contains(md.String(), "Figure 6") {
-		t.Error("markdown missing title")
-	}
+	render(t, res, "Figure 6")
 }
 
 func TestRunFig7(t *testing.T) {
 	res := RunFig7(fastCfg())
 	for _, eps := range []float64{0.2, 0.5} {
-		pts := res.Series[1.0][eps]
-		if len(pts) != 2 {
-			t.Fatalf("eps=%g: got %d points", eps, len(pts))
-		}
-		for _, p := range pts {
-			if p.Censored {
+		points := 0
+		for i := range res.Records {
+			approx := &res.Records[i]
+			if approx.Epsilon != eps {
 				continue
 			}
-			if p.DeviationPct < 0 || p.DeviationPct > 100*eps+1e-9 {
-				t.Errorf("eps=%g v=%d: deviation %.2f%% outside [0, %.0f%%]",
-					eps, p.V, p.DeviationPct, 100*eps)
+			points++
+			exact := res.find(func(x *Record) bool { return x.Instance == approx.Instance && x.Epsilon == 0 })
+			if exact == nil {
+				t.Fatalf("%s: no exact record", approx.Instance)
 			}
-			if p.TimeRatio <= 0 {
-				t.Errorf("eps=%g v=%d: nonpositive time ratio", eps, p.V)
+			if !exact.Optimal || approx.BoundFactor == 0 {
+				continue
+			}
+			dev := 100 * float64(approx.Makespan-exact.Makespan) / float64(exact.Makespan)
+			if dev < 0 || dev > 100*eps+1e-9 {
+				t.Errorf("eps=%g v=%d: deviation %.2f%% outside [0, %.0f%%]", eps, approx.V, dev, 100*eps)
+			}
+			if approx.WallMS/exact.WallMS <= 0 {
+				t.Errorf("eps=%g v=%d: nonpositive time ratio", eps, approx.V)
 			}
 		}
+		if points != 2 {
+			t.Fatalf("eps=%g: got %d points", eps, points)
+		}
 	}
-	var md bytes.Buffer
-	if err := Write(&md, "md", res); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(md.String(), "Figure 7") {
-		t.Error("markdown missing title")
-	}
+	render(t, res, "Figure 7")
 }
 
 func TestRunAblation(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Sizes = []int{8}
 	res := RunAblation(cfg)
-	if len(res.Rows) != len(serialVariants()) {
-		t.Fatalf("got %d rows, want %d", len(res.Rows), len(serialVariants()))
+	if len(res.Records) != len(serialVariants()) {
+		t.Fatalf("got %d records, want %d", len(res.Records), len(serialVariants()))
 	}
 	var want int32 = -1
-	for _, r := range res.Rows {
+	for _, r := range res.Records {
 		if !r.Optimal {
 			continue
 		}
 		if want < 0 {
-			want = r.Length
-		} else if r.Length != want {
-			t.Errorf("variant %q found SL %d, others %d", r.Variant, r.Length, want)
+			want = r.Makespan
+		} else if r.Makespan != want {
+			t.Errorf("variant %q found SL %d, others %d", r.Variant, r.Makespan, want)
 		}
 	}
-	var md bytes.Buffer
-	if err := Write(&md, "md", res); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(md.String(), "Ablation") {
-		t.Error("markdown missing title")
-	}
+	render(t, res, "Ablation")
 }
 
 func TestRunDistribution(t *testing.T) {
@@ -143,51 +173,43 @@ func TestRunDistribution(t *testing.T) {
 	cfg.Sizes = []int{10}
 	cfg.PPEs = []int{4}
 	res := RunDistribution(cfg)
-	if len(res.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(res.Rows))
+	if len(res.Records) != 3 {
+		t.Fatalf("got %d records, want the serial run and 2 policies", len(res.Records))
 	}
-	byPolicy := map[string]DistributionRow{}
-	for _, r := range res.Rows {
-		byPolicy[r.Policy] = r
+	serial := &res.Records[0]
+	hash := sibling(t, res, serial, "parallel", "hash (ref. 15)")
+	rr := sibling(t, res, serial, "parallel", "neighbor-rr (paper)")
+	if hash.Optimal && rr.Optimal && hash.Expanded > rr.Expanded {
+		t.Errorf("hash work %d should not exceed neighbor-rr %d", hash.Expanded, rr.Expanded)
 	}
-	hash := byPolicy["hash (ref. 15)"]
-	rr := byPolicy["neighbor-rr (paper)"]
-	if hash.Optimal && rr.Optimal && hash.WorkRatio > rr.WorkRatio {
-		t.Errorf("hash work ratio %.2f should not exceed neighbor-rr %.2f", hash.WorkRatio, rr.WorkRatio)
-	}
+	render(t, res, "distribution policy")
 }
 
 func TestRunEngines(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Sizes = []int{8}
 	res := RunEngines(cfg)
-	if f := res.FailureList(); len(f) > 0 {
+	if f := res.Failures; len(f) > 0 {
 		t.Fatalf("engines experiment failed its gate: %v", f)
 	}
-	if len(res.Rows) < 5 {
-		t.Fatalf("got %d rows; want one per registered engine (>= 5)", len(res.Rows))
+	if len(res.Records) < 5 {
+		t.Fatalf("got %d records; want one per registered engine (>= 5)", len(res.Records))
 	}
 	var want int32 = -1
-	for _, r := range res.Rows {
+	for _, r := range res.Records {
 		if !r.Optimal || r.Engine == "aeps" {
 			continue
 		}
 		if want < 0 {
-			want = r.Length
-		} else if r.Length != want {
-			t.Errorf("engine %q found SL %d, others %d", r.Engine, r.Length, want)
+			want = r.Makespan
+		} else if r.Makespan != want {
+			t.Errorf("engine %q found SL %d, others %d", r.Engine, r.Makespan, want)
 		}
 	}
 	if want < 0 {
 		t.Fatal("no exact engine proved optimality on the test instance")
 	}
-	var md bytes.Buffer
-	if err := Write(&md, "md", res); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(md.String(), "Engine comparison") {
-		t.Error("markdown missing title")
-	}
+	render(t, res, "Engine comparison")
 }
 
 // An engine error must come back as an error naming the engine and the
@@ -240,33 +262,85 @@ func TestFmtDuration(t *testing.T) {
 
 func TestRunLarge(t *testing.T) {
 	res := RunLarge(fastCfg())
-	if len(res.Rows) != 2*len(largeSizes) {
-		t.Fatalf("got %d rows, want %d (aeps + portfolio per size)", len(res.Rows), 2*len(largeSizes))
+	if len(res.Records) != 2*len(largeSizes) {
+		t.Fatalf("got %d records, want %d (aeps + portfolio per size)", len(res.Records), 2*len(largeSizes))
 	}
-	for _, row := range res.Rows {
-		if row.V <= 64 {
-			t.Errorf("large experiment ran a v=%d cell; every size must exceed the old 64-task mask", row.V)
+	for _, rec := range res.Records {
+		if rec.V <= 64 {
+			t.Errorf("large experiment ran a v=%d cell; every size must exceed the old 64-task mask", rec.V)
 		}
-		if row.Length <= 0 {
-			t.Errorf("v=%d %s: no schedule length recorded", row.V, row.Mode)
+		if rec.Makespan <= 0 {
+			t.Errorf("v=%d %s: no schedule length recorded", rec.V, rec.Engine)
 		}
 		// Guarantee bookkeeping must be coherent in every cell: a proven
 		// optimum reports bound exactly 1 (a budget-cut aeps cell may
 		// legitimately report no guarantee), and the portfolio — which
 		// races exact entrants whose HPlus static bound closes this
 		// workload in a dive — must prove optimality outright.
-		if row.Optimal && row.Bound != 1 {
-			t.Errorf("v=%d %s: optimal with bound %g, want exactly 1", row.V, row.Mode, row.Bound)
+		if rec.Optimal && rec.BoundFactor != 1 {
+			t.Errorf("v=%d %s: optimal with bound %g, want exactly 1", rec.V, rec.Engine, rec.BoundFactor)
 		}
-		if strings.HasPrefix(row.Mode, "portfolio:") && !row.Optimal {
-			t.Errorf("v=%d %s: portfolio (with exact entrants) did not prove optimality", row.V, row.Mode)
+		if rec.Engine == "portfolio" && (!rec.Optimal || rec.Variant == "") {
+			t.Errorf("v=%d portfolio:%s: portfolio (with exact entrants) did not prove optimality", rec.V, rec.Variant)
 		}
 	}
-	var md bytes.Buffer
-	if err := Write(&md, "md", res); err != nil {
+	render(t, res, "Large instances")
+}
+
+// TestRunPruning runs the pruning ablation's corpus on a small budget: the
+// gate (proven variants agree, the prunings fire, one layered-STG cell
+// halves its expansions) must hold, and every cell reports each variant.
+func TestRunPruning(t *testing.T) {
+	cfg := fastCfg()
+	cfg.CellBudget = 300_000
+	res := RunPruning(cfg)
+	if len(res.Failures) > 0 {
+		t.Fatalf("pruning gate failed: %v", res.Failures)
+	}
+	cells, err := pruningCells(cfg.Seed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(md.String(), "Large instances") {
-		t.Errorf("markdown output malformed:\n%s", md.String())
+	perCell := map[string]int{}
+	for _, rec := range res.Records {
+		perCell[rec.Instance]++
+		if rec.Engine != "astar" || rec.Generated <= 0 {
+			t.Errorf("%s %s: record %+v, want astar with generated > 0", rec.Instance, rec.Variant, rec)
+		}
+	}
+	for _, c := range cells {
+		if n := perCell[c.g.Name()]; n != len(pruningVariants()) {
+			t.Errorf("cell %s: %d records, want %d", c.g.Name(), n, len(pruningVariants()))
+		}
+	}
+	render(t, res, "Pruning ablation")
+}
+
+// TestRunSpeedup runs one small speedup series: the determinism gate must
+// hold, and every worker count has a dive and a budget record with
+// generated children counted (the unit rate × divides by).
+func TestRunSpeedup(t *testing.T) {
+	cfg := Config{Sizes: []int{20}, PPEs: []int{2}, CellBudget: 50_000, Seed: 1998}
+	res := RunSpeedup(cfg)
+	if len(res.Failures) > 0 {
+		t.Fatalf("speedup gate failed: %v", res.Failures)
+	}
+	for _, w := range []int{1, 2} {
+		for _, mode := range []string{"dive", "budget"} {
+			rec := res.find(func(x *Record) bool { return x.Engine == "native" && x.Workers == w && x.Variant == mode })
+			if rec == nil {
+				t.Fatalf("workers=%d: no %s record", w, mode)
+			}
+			if rec.Generated <= 0 {
+				t.Errorf("workers=%d %s: generated = %d, want > 0", w, mode, rec.Generated)
+			}
+			if mode == "dive" && rec.BoundFactor != 1 {
+				t.Errorf("workers=%d dive: bound %g, want exactly 1", w, rec.BoundFactor)
+			}
+		}
+	}
+	md := render(t, res, "Native engine")
+	if !strings.Contains(md, "ns/child") {
+		t.Errorf("speedup table lacks ns/child:\n%s", md)
 	}
 }

@@ -2,84 +2,83 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
+	"repro/internal/engine"
 	"repro/internal/listsched"
 )
-
-// DeviationRow is one heuristic's aggregate deviation from the proven
-// optimum over one CCR's instance batch.
-type DeviationRow struct {
-	Heuristic string
-	AvgDev    float64 // percent above optimal, averaged over solved instances
-	MaxDev    float64 // worst percent above optimal
-	Optimal   int     // instances where the heuristic matched the optimum
-	Solved    int     // instances with a proven optimum (the denominator)
-}
-
-// DeviationResult holds one block per CCR.
-type DeviationResult struct {
-	CCRs   []float64
-	Blocks map[float64][]DeviationRow
-	Config Config
-	gate
-}
 
 // RunDeviation measures the study the paper's introduction motivates:
 // "optimal solutions for a set of benchmark problems can serve as a
 // reference to assess the performance of various scheduling heuristics."
-// For every CCR it solves the configured sizes optimally with the serial
-// A* (skipping instances whose cell budget censors the proof) and runs
-// each list-scheduling heuristic on the same instances.
-func RunDeviation(cfg Config) *DeviationResult {
+// For every CCR it solves the configured sizes with the serial A* and runs
+// each list-scheduling heuristic on the same instances; the tables compare
+// them on the instances whose optimum A* proved under the cell budget.
+func RunDeviation(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	res := &DeviationResult{CCRs: cfg.CCRs, Blocks: map[float64][]DeviationRow{}, Config: cfg}
-	algs := listsched.All()
+	rep := newReport("deviation", cfg)
 	for _, ccr := range cfg.CCRs {
-		rows := make([]DeviationRow, len(algs))
-		for i, alg := range algs {
-			rows[i].Heuristic = alg.Name
-		}
 		for _, v := range cfg.Sizes {
 			g, sys := cfg.instance(ccr, v)
-			ref, _, err := solve("astar", g, sys, cfg.cellConfig())
+			ref, err := runCell("astar", g, sys, cfg.cellConfig())
 			if err != nil {
-				res.failf("deviation: %v", err)
+				rep.failf("deviation: %v", err)
 				continue
 			}
-			if !ref.Optimal {
-				continue // no proven reference for this instance
-			}
-			for i, alg := range algs {
+			ref.CCR = ccr
+			rep.Records = append(rep.Records, ref)
+			for _, alg := range listsched.All() {
+				start := time.Now()
 				s, err := alg.Run(g, sys)
 				if err != nil {
-					res.failf("deviation: %s on %s: %v", alg.Name, g.Name(), err)
+					rep.failf("deviation: %s on %s: %v", alg.Name, g.Name(), err)
 					continue
 				}
-				dev := 100 * (float64(s.Length) - float64(ref.Length)) / float64(ref.Length)
-				rows[i].Solved++
-				rows[i].AvgDev += dev
-				if dev > rows[i].MaxDev {
-					rows[i].MaxDev = dev
-				}
-				if s.Length == ref.Length {
-					rows[i].Optimal++
-				}
+				rec := newRecord(alg.Name, g, sys, engine.Config{}, nil, time.Since(start))
+				rec.CCR, rec.Makespan = ccr, s.Length
+				rep.Records = append(rep.Records, rec)
 			}
 		}
-		for i := range rows {
-			if rows[i].Solved > 0 {
-				rows[i].AvgDev /= float64(rows[i].Solved)
-			}
-		}
-		res.Blocks[ccr] = rows
 	}
-	return res
+	return rep
 }
 
-// Tables renders one block per CCR.
-func (r *DeviationResult) Tables() []*table {
+// deviationTables renders one block per CCR: per heuristic, the average
+// and worst percent above the proven optimum over the instances A*
+// proved, how many of them it matched, and how many there were.
+func deviationTables(r *Report) []*table {
+	type aggregate struct {
+		name           string
+		avgDev, maxDev float64
+		optimal, total int
+	}
 	var out []*table
-	for _, ccr := range r.CCRs {
+	for _, ccr := range r.Config.CCRs {
+		var rows []*aggregate
+		byName := map[string]*aggregate{}
+		for i := range r.Records {
+			rec := &r.Records[i]
+			if rec.CCR != ccr || rec.Engine == "astar" {
+				continue
+			}
+			a := byName[rec.Engine]
+			if a == nil {
+				a = &aggregate{name: rec.Engine}
+				byName[rec.Engine] = a
+				rows = append(rows, a)
+			}
+			ref := r.find(func(x *Record) bool { return x.Instance == rec.Instance && x.Engine == "astar" })
+			if ref == nil || !ref.Optimal {
+				continue // no proven reference for this instance
+			}
+			dev := 100 * ratio(float64(rec.Makespan-ref.Makespan), float64(ref.Makespan))
+			a.total++
+			a.avgDev += dev
+			a.maxDev = max(a.maxDev, dev)
+			if rec.Makespan == ref.Makespan {
+				a.optimal++
+			}
+		}
 		t := &table{
 			Title:  fmt.Sprintf("Heuristic deviation from optimal, CCR = %g", ccr),
 			Header: []string{"heuristic", "avg dev", "max dev", "optimal", "instances"},
@@ -88,13 +87,13 @@ func (r *DeviationResult) Tables() []*table {
 				"expected shape (paper §1 motivation): deviations grow with CCR; no heuristic dominates",
 			},
 		}
-		for _, row := range r.Blocks[ccr] {
+		for _, a := range rows {
 			t.Rows = append(t.Rows, []string{
-				row.Heuristic,
-				fmt.Sprintf("%.1f%%", row.AvgDev),
-				fmt.Sprintf("%.1f%%", row.MaxDev),
-				fmt.Sprintf("%d", row.Optimal),
-				fmt.Sprintf("%d", row.Solved),
+				a.name,
+				fmt.Sprintf("%.1f%%", ratio(a.avgDev, float64(a.total))),
+				fmt.Sprintf("%.1f%%", a.maxDev),
+				fmt.Sprintf("%d", a.optimal),
+				fmt.Sprintf("%d", a.total),
 			})
 		}
 		out = append(out, t)

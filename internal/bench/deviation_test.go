@@ -7,29 +7,36 @@ import (
 )
 
 // TestRunDeviation exercises the heuristic-deviation experiment: every
-// heuristic is measured on every proven instance, deviations are
-// non-negative, and both output formats render.
+// heuristic is measured on every instance, no heuristic beats a proven
+// optimum, and both output formats render.
 func TestRunDeviation(t *testing.T) {
 	res := RunDeviation(fastCfg())
-	for _, ccr := range res.CCRs {
-		rows := res.Blocks[ccr]
-		if len(rows) < 7 {
-			t.Fatalf("ccr=%g: %d heuristics; want at least 7", ccr, len(rows))
+	heuristics := map[string]bool{}
+	solved := 0
+	for i := range res.Records {
+		rec := &res.Records[i]
+		if rec.Engine == "astar" {
+			continue
 		}
-		for _, row := range rows {
-			if row.Solved == 0 {
-				t.Errorf("ccr=%g %s: no instance solved to optimality", ccr, row.Heuristic)
-				continue
-			}
-			if row.AvgDev < 0 || row.MaxDev < row.AvgDev-1e-9 {
-				t.Errorf("ccr=%g %s: inconsistent deviations avg=%.2f max=%.2f",
-					ccr, row.Heuristic, row.AvgDev, row.MaxDev)
-			}
-			if row.Optimal > row.Solved {
-				t.Errorf("ccr=%g %s: optimal count %d exceeds solved %d",
-					ccr, row.Heuristic, row.Optimal, row.Solved)
-			}
+		heuristics[rec.Engine] = true
+		ref := sibling(t, res, rec, "astar", "")
+		if !ref.Optimal {
+			continue
 		}
+		solved++
+		if rec.Makespan < ref.Makespan {
+			t.Errorf("%s on %s: length %d below the proven optimum %d", rec.Engine, rec.Instance, rec.Makespan, ref.Makespan)
+		}
+	}
+	if len(heuristics) < 7 {
+		t.Fatalf("%d heuristics; want at least 7", len(heuristics))
+	}
+	if solved == 0 {
+		t.Fatal("no instance solved to optimality")
+	}
+	tables := res.Tables()
+	if len(tables) != 1 || len(tables[0].Rows) != len(heuristics) {
+		t.Fatalf("tables = %+v, want one block with a row per heuristic", tables)
 	}
 	var md, csv bytes.Buffer
 	if err := Write(&md, "md", res); err != nil {

@@ -2,96 +2,76 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 )
-
-// Fig6Point is one (v, q) measurement of the parallel A*.
-type Fig6Point struct {
-	V    int
-	PPEs int
-	// WallSpeedup is serial wall time / parallel wall time on this host,
-	// bounded above by the physical core count.
-	WallSpeedup float64
-	// ModeledSpeedup is serial expansions / parallel critical work: the
-	// speedup a machine with one core per PPE and uniform expansion cost
-	// would see (the Paragon substitution of DESIGN.md §5).
-	ModeledSpeedup float64
-	// WorkRatio is parallel total expansions / serial expansions — the
-	// extra state generation the paper notes for the parallel algorithm.
-	WorkRatio float64
-	Censored  bool
-}
-
-// Fig6Result holds one series per CCR, mirroring Figure 6(a)–(c).
-type Fig6Result struct {
-	CCRs   []float64
-	Series map[float64][]Fig6Point
-	Config Config
-	gate
-}
 
 // RunFig6 regenerates Figure 6: speedups of the parallel A* over the serial
 // A* for each PPE count, graph size, and CCR.
-func RunFig6(cfg Config) *Fig6Result {
+func RunFig6(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	res := &Fig6Result{CCRs: cfg.CCRs, Series: map[float64][]Fig6Point{}, Config: cfg}
+	rep := newReport("fig6", cfg)
 	for _, ccr := range cfg.CCRs {
 		for _, v := range cfg.Sizes {
 			g, sys := cfg.instance(ccr, v)
-			serial, serialTime, err := solve("astar", g, sys, cfg.cellConfig())
+			serial, err := runCell("astar", g, sys, cfg.cellConfig())
 			if err != nil {
-				res.failf("fig6: %v", err)
+				rep.failf("fig6: %v", err)
 				continue
 			}
+			serial.CCR = ccr
+			rep.Records = append(rep.Records, serial)
 			for _, q := range cfg.PPEs {
-				pcfg := cfg.cellConfig()
-				pcfg.PPEs = q
-				pcfg.PeriodFloor = cfg.PeriodFloor
-				pcfg.MaxExpanded = cfg.CellBudget * int64(q)
-				par, parTime, err := solve("parallel", g, sys, pcfg)
+				par, err := runCell("parallel", g, sys, cfg.parallelConfig(q))
 				if err != nil {
-					res.failf("fig6 PPEs=%d: %v", q, err)
+					rep.failf("fig6 PPEs=%d: %v", q, err)
 					continue
 				}
-				pt := Fig6Point{
-					V:           v,
-					PPEs:        q,
-					WallSpeedup: serialTime.Seconds() / parTime.Seconds(),
-					WorkRatio:   float64(par.Stats.Expanded) / float64(serial.Stats.Expanded),
-					Censored:    !serial.Optimal || !par.Optimal,
-				}
-				if par.Stats.CriticalWork > 0 {
-					pt.ModeledSpeedup = float64(serial.Stats.Expanded) / float64(par.Stats.CriticalWork)
-				}
-				res.Series[ccr] = append(res.Series[ccr], pt)
+				par.CCR = ccr
+				rep.Records = append(rep.Records, par)
 			}
 		}
 	}
-	return res
+	return rep
 }
 
-// Tables renders one table per CCR with the three speedup metrics.
-func (r *Fig6Result) Tables() []*table {
+// fig6Tables renders one table per CCR with the three speedup metrics of
+// each parallel run against the serial run on the same instance:
+//
+//   - wall speedup: serial wall time / parallel wall time on the host,
+//     bounded above by its core count;
+//   - modeled speedup: serial expansions / parallel critical work, the
+//     speedup a machine with one core per PPE and uniform expansion cost
+//     would see (the Paragon substitution of DESIGN.md §5);
+//   - work ratio: parallel total expansions / serial expansions, the extra
+//     state generation the paper notes for the parallel algorithm.
+func fig6Tables(r *Report) []*table {
 	var out []*table
-	for _, ccr := range r.CCRs {
+	for _, ccr := range r.Config.CCRs {
 		t := &table{
 			Title:  fmt.Sprintf("Figure 6 — parallel A* speedup, CCR = %g", ccr),
 			Header: []string{"v", "PPEs", "wall speedup", "modeled speedup", "work ratio"},
 		}
-		for _, p := range r.Series[ccr] {
+		for i := range r.Records {
+			par := &r.Records[i]
+			if par.CCR != ccr || par.Engine != "parallel" {
+				continue
+			}
+			serial := r.find(func(x *Record) bool { return x.Instance == par.Instance && x.Engine == "astar" })
+			if serial == nil {
+				continue
+			}
 			mark := ""
-			if p.Censored {
+			if !serial.Optimal || !par.Optimal {
 				mark = " (censored)"
 			}
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(p.V), fmt.Sprint(p.PPEs),
-				fmt.Sprintf("%.2f%s", p.WallSpeedup, mark),
-				fmt.Sprintf("%.2f", p.ModeledSpeedup),
-				fmt.Sprintf("%.2f", p.WorkRatio),
+				fmt.Sprint(par.V), fmt.Sprint(par.Workers),
+				fmt.Sprintf("%.2f%s", ratio(serial.WallMS, par.WallMS), mark),
+				fmt.Sprintf("%.2f", ratio(float64(serial.Expanded), float64(par.CriticalWork))),
+				fmt.Sprintf("%.2f", ratio(float64(par.Expanded), float64(serial.Expanded))),
 			})
 		}
 		t.Notes = append(t.Notes,
-			fmt.Sprintf("wall speedup is capped by GOMAXPROCS=%d on this host; modeled speedup assumes one core per PPE (see DESIGN.md §5)", runtime.GOMAXPROCS(0)),
+			fmt.Sprintf("wall speedup is capped by GOMAXPROCS=%d on this host; modeled speedup assumes one core per PPE (see DESIGN.md §5)", r.Host.GoMaxProcs),
 			"expected shape (paper): speedup grows with PPEs, drops slightly with v, more irregular at CCR 10")
 		out = append(out, t)
 	}

@@ -6,11 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/gen"
-	"repro/internal/procgraph"
 	"repro/internal/solverpool"
-	"repro/internal/taskgraph"
 )
 
 // This file is the new-size-regime experiment: instances beyond the old
@@ -22,53 +18,25 @@ import (
 // arbitrary dense v = 256 graphs, and the experiment records exactly how
 // far the budgets carry them.
 
-// LargeRow is one measurement of the large experiment.
-type LargeRow struct {
-	V        int
-	Mode     string // "aeps" or "portfolio:<winner>"
-	Time     time.Duration
-	Expanded int64
-	Length   int32
-	Optimal  bool
-	Bound    float64
-}
-
-// LargeResult reports the large experiment.
-type LargeResult struct {
-	Rows   []LargeRow
-	Config Config
-	gate
-}
-
 // largeSizes are the node counts of the experiment, all past the old
 // 64-task ceiling, the largest at the new MaxNodes cap.
 var largeSizes = []int{80, 128, 256}
 
-// largeInstance builds the v-node layered STG workload for one cell.
-func largeInstance(v int, seed uint64) (*taskgraph.Graph, *procgraph.System, error) {
-	g, err := gen.LayeredSTG(gen.LayeredConfig{Layers: v / 4, Width: 4, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, procgraph.Complete(8), nil
-}
+// largePortfolio are the engines the large experiment's portfolio races.
+var largePortfolio = []string{"astar", "aeps", "dfbb"}
 
 // RunLarge measures the large-instance cells: per size, one Aε* run and one
 // portfolio race (astar, aeps, dfbb) under the shared per-cell budget, both
-// with the strengthened heuristic.
-func RunLarge(cfg Config) *LargeResult {
+// with the strengthened heuristic. The portfolio's record names the
+// winner as its variant and sums every entrant's counters.
+func RunLarge(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	res := &LargeResult{Config: cfg}
+	cfg.Sizes = largeSizes
+	rep := newReport("large", cfg)
 	for _, v := range largeSizes {
-		g, sys, err := largeInstance(v, cfg.Seed)
+		g, sys, err := layeredInstance(v, cfg.Seed)
 		if err != nil {
-			// Every planned cell appears in the report: a failure renders as
-			// an err: row rather than silently vanishing from the table, and
-			// fails the run.
-			res.failf("large v=%d: %v", v, err)
-			res.Rows = append(res.Rows,
-				LargeRow{V: v, Mode: "aeps (err: " + err.Error() + ")"},
-				LargeRow{V: v, Mode: "portfolio (err: " + err.Error() + ")"})
+			rep.failf("large v=%d: %v", v, err)
 			continue
 		}
 		ecfg := cfg.cellConfig()
@@ -76,55 +44,56 @@ func RunLarge(cfg Config) *LargeResult {
 
 		aepsCfg := ecfg
 		aepsCfg.Epsilon = 0.2
-		start := time.Now()
-		if r, err := engine.Solve(context.Background(), "aeps", g, sys, aepsCfg); err == nil {
-			res.Rows = append(res.Rows, LargeRow{
-				V: v, Mode: "aeps", Time: time.Since(start),
-				Expanded: r.Stats.Expanded, Length: r.Length, Optimal: r.Optimal, Bound: r.BoundFactor,
-			})
+		if rec, err := runCell("aeps", g, sys, aepsCfg); err == nil {
+			rep.Records = append(rep.Records, rec)
 		} else {
-			res.failf("large v=%d: aeps: %v", v, err)
-			res.Rows = append(res.Rows, LargeRow{V: v, Mode: "aeps (err: " + err.Error() + ")", Time: time.Since(start)})
+			rep.failf("large v=%d: %v", v, err)
 		}
 
-		names := []string{"astar", "aeps", "dfbb"}
-		start = time.Now()
-		if pf, err := solverpool.New(len(names)).SolvePortfolio(context.Background(), g, sys, names, ecfg); err == nil {
-			row := LargeRow{
-				V: v, Mode: "portfolio:" + pf.Winner, Time: time.Since(start),
-				Expanded: pf.Result.Stats.Expanded, Length: pf.Result.Length,
-				Optimal: pf.Result.Optimal, Bound: pf.Result.BoundFactor,
-			}
-			for _, l := range pf.Losers {
-				row.Expanded += l.Stats.Expanded
-			}
-			res.Rows = append(res.Rows, row)
-		} else {
-			res.failf("large v=%d: portfolio: %v", v, err)
-			res.Rows = append(res.Rows, LargeRow{V: v, Mode: "portfolio (err: " + err.Error() + ")", Time: time.Since(start)})
+		start := time.Now()
+		pf, err := solverpool.New(len(largePortfolio)).SolvePortfolio(context.Background(), g, sys, largePortfolio, ecfg)
+		if err != nil {
+			rep.failf("large v=%d: portfolio: %v", v, err)
+			continue
 		}
+		rec := newRecord("portfolio", g, sys, ecfg, pf.Result, time.Since(start))
+		rec.Variant = pf.Winner
+		for _, l := range pf.Losers {
+			rec.Expanded += l.Stats.Expanded
+			rec.Generated += l.Stats.Generated
+		}
+		rep.Records = append(rep.Records, rec)
 	}
-	return res
+	return rep
 }
 
-// Tables renders the large-instance matrix.
-func (r *LargeResult) Tables() []*table {
+// largeTables renders the large-instance matrix.
+func largeTables(r *Report) []*table {
 	t := &table{
 		Title:  "Large instances — v beyond the old 64-task mask, Aε*/portfolio budgets",
-		Header: []string{"v", "mode", "time", "states expanded", "SL", "optimal", "bound"},
+		Header: []string{"v", "mode", "time", "states expanded", "generated", "SL", "optimal", "bound"},
 	}
-	for _, row := range r.Rows {
-		bound := "—"
-		if row.Bound > 0 {
-			bound = fmt.Sprintf("%g", row.Bound)
+	for i := range r.Records {
+		rec := &r.Records[i]
+		mode := rec.Engine
+		if rec.Variant != "" {
+			mode += ":" + rec.Variant
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(row.V), row.Mode, fmtDuration(row.Time), fmt.Sprint(row.Expanded),
-			fmt.Sprint(row.Length), fmt.Sprint(row.Optimal), bound,
+			fmt.Sprint(rec.V), mode, fmtDuration(rec.wall()), fmt.Sprint(rec.Expanded),
+			fmt.Sprint(rec.Generated), fmt.Sprint(rec.Makespan), fmt.Sprint(rec.Optimal), boundString(rec),
 		})
 	}
 	t.Notes = append(t.Notes,
 		"layered STG workload (zero communication costs), complete:8 target, HPlus heuristic",
-		fmt.Sprintf("per-cell budget: %d expansions, portfolio races astar+aeps+dfbb (expanded sums all entrants)", r.Config.CellBudget))
+		fmt.Sprintf("per-cell budget: %d expansions, portfolio races astar+aeps+dfbb (expanded and generated sum all entrants)", r.Config.CellBudget))
 	return []*table{t}
+}
+
+// boundString renders a record's guarantee factor, "—" when it has none.
+func boundString(rec *Record) string {
+	if rec.BoundFactor <= 0 {
+		return "—"
+	}
+	return fmt.Sprintf("%g", rec.BoundFactor)
 }

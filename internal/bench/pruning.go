@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -19,30 +18,8 @@ import (
 // every variant is an exact search, so all proven-optimal variants of one
 // cell must agree on the makespan, the new prunings must actually fire, and
 // at least one layered-STG cell must show the headline >= 2x expansion
-// reduction — FailureList reports violations and cmd/icpp98bench exits
-// non-zero on them.
-
-// PruningRow is one (cell, variant) measurement.
-type PruningRow struct {
-	Cell        string
-	V           int
-	System      string
-	Variant     string
-	Time        time.Duration
-	Expanded    int64
-	PrunedEquiv int64
-	PrunedFTO   int64
-	Length      int32
-	Optimal     bool
-}
-
-// PruningResult reports the pruning ablation.
-type PruningResult struct {
-	Rows   []PruningRow
-	Config Config
-	// gate lists correctness-gate violations (see file comment).
-	gate
-}
+// reduction — the report's failures list violations and cmd/icpp98bench
+// exits non-zero on them.
 
 // pruningBaseline is the pre-overhaul serial configuration: the paper's
 // §3.2 prunings with the paper's heuristic, the new prunings off.
@@ -69,11 +46,11 @@ func pruningVariants() []struct {
 	}
 }
 
-// pruningCell is one instance of the fixed corpus.
+// pruningCell is one instance of the fixed corpus; the graph's name is
+// the cell's.
 type pruningCell struct {
-	name string
-	g    *taskgraph.Graph
-	sys  *procgraph.System
+	g   *taskgraph.Graph
+	sys *procgraph.System
 	// layeredSTG marks the cells eligible for the >= 2x headline check.
 	layeredSTG bool
 }
@@ -95,7 +72,7 @@ func pruningCells(seed uint64) ([]pruningCell, error) {
 		src := bld.AddNode(int32(4 + 2*i))
 		bld.AddEdge(src, sink, int32(9-i))
 	}
-	cells = append(cells, pruningCell{"join6", bld.MustBuild(), procgraph.Complete(3), false})
+	cells = append(cells, pruningCell{bld.MustBuild(), procgraph.Complete(3), false})
 
 	// Width-1 fork-join: the middle tasks are pairwise equivalent
 	// (identical weight, parent, child, costs), the equivalent-task shape.
@@ -103,7 +80,7 @@ func pruningCells(seed uint64) ([]pruningCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells = append(cells, pruningCell{"forkjoin-5x1", fj1, procgraph.Complete(3), false})
+	cells = append(cells, pruningCell{fj1, procgraph.Complete(3), false})
 
 	// Depth-2 fork-join: parallel chains sharing a fork and a join — FTO
 	// fires inside the chains, equivalence does not (distinct successors).
@@ -111,7 +88,7 @@ func pruningCells(seed uint64) ([]pruningCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells = append(cells, pruningCell{"forkjoin-4x2", fj2, procgraph.Complete(3), false})
+	cells = append(cells, pruningCell{fj2, procgraph.Complete(3), false})
 
 	// Layered STG cells (zero communication costs): the large-instance
 	// workload shape, where the HLoad load-balance bound dominates.
@@ -123,7 +100,7 @@ func pruningCells(seed uint64) ([]pruningCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		cells = append(cells, pruningCell{g.Name(), g, procgraph.Complete(4), true})
+		cells = append(cells, pruningCell{g, procgraph.Complete(4), true})
 	}
 
 	// A layered cell with communication costs (CCR 1), the general case.
@@ -131,97 +108,88 @@ func pruningCells(seed uint64) ([]pruningCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells = append(cells, pruningCell{gl.Name(), gl, procgraph.Complete(4), false})
+	cells = append(cells, pruningCell{gl, procgraph.Complete(4), false})
 
 	return cells, nil
 }
 
 // RunPruning measures every pruning variant on the fixed corpus and runs
 // the correctness gate.
-func RunPruning(cfg Config) *PruningResult {
+func RunPruning(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	res := &PruningResult{Config: cfg}
+	rep := newReport("pruning", cfg)
 	cells, err := pruningCells(cfg.Seed)
 	if err != nil {
-		res.failf("pruning: corpus generation failed: %v", err)
-		return res
+		rep.failf("pruning: corpus generation failed: %v", err)
+		return rep
 	}
 	headlineOK := false
 	var totalEquiv, totalFTO int64
 	for _, cell := range cells {
-		var baseline, hload *PruningRow
+		var baseline, hload Record
 		optLen := int32(-1)
 		for _, variant := range pruningVariants() {
 			ecfg := variant.Cfg
 			ecfg.MaxExpanded = cfg.CellBudget
 			ecfg.Timeout = cfg.CellTimeout
-			c, err := runCell("astar", cell.g, cell.sys, ecfg)
+			rec, err := runCell("astar", cell.g, cell.sys, ecfg)
 			if err != nil {
-				res.failf("pruning %s: %v", variant.Name, err)
+				rep.failf("pruning %s: %v", variant.Name, err)
 				continue
 			}
-			res.Rows = append(res.Rows, PruningRow{
-				Cell: cell.name, V: cell.g.NumNodes(), System: cell.sys.Name(),
-				Variant: variant.Name, Time: c.Time, Expanded: c.Expanded,
-				PrunedEquiv: c.PrunedEquiv, PrunedFTO: c.PrunedFTO,
-				Length: c.Length, Optimal: c.Optimal,
-			})
-			row := &res.Rows[len(res.Rows)-1]
+			rec.Variant = variant.Name
+			rep.Records = append(rep.Records, rec)
 			switch variant.Name {
 			case "baseline":
-				baseline = row
+				baseline = rec
 			case "all-hload":
-				hload = row
+				hload = rec
 			}
-			totalEquiv += c.PrunedEquiv
-			totalFTO += c.PrunedFTO
+			totalEquiv += rec.PrunedEquiv
+			totalFTO += rec.PrunedFTO
 			// Gate: every exact search that proved optimality must agree.
-			if row.Optimal {
+			if rec.Optimal {
 				if optLen < 0 {
-					optLen = row.Length
-				} else if row.Length != optLen {
-					res.failf("pruning %s: variant %s proved makespan %d, earlier variants proved %d",
-						cell.name, variant.Name, row.Length, optLen)
+					optLen = rec.Makespan
+				} else if rec.Makespan != optLen {
+					rep.failf("pruning %s: variant %s proved makespan %d, earlier variants proved %d",
+						rec.Instance, variant.Name, rec.Makespan, optLen)
 				}
 			}
 		}
-		if cell.layeredSTG && hload != nil && hload.Optimal &&
-			baseline != nil && baseline.Expanded >= 2*hload.Expanded {
+		if cell.layeredSTG && hload.Optimal && baseline.Expanded > 0 && baseline.Expanded >= 2*hload.Expanded {
 			headlineOK = true
 		}
 	}
 	if totalEquiv+totalFTO == 0 {
-		res.failf("pruning: PrunedEquiv+PrunedFTO == 0 across the whole corpus — the new prunings never fired")
+		rep.failf("pruning: PrunedEquiv+PrunedFTO == 0 across the whole corpus — the new prunings never fired")
 	}
 	if !headlineOK {
-		res.failf("pruning: no layered-STG cell shows a >= 2x expansion reduction (all prunings + HLoad vs baseline)")
+		rep.failf("pruning: no layered-STG cell shows a >= 2x expansion reduction (all prunings + HLoad vs baseline)")
 	}
-	return res
+	return rep
 }
 
-// Tables renders the pruning ablation with per-variant deltas.
-func (r *PruningResult) Tables() []*table {
+// pruningTables renders the pruning ablation with each variant's
+// expansions against its cell's baseline.
+func pruningTables(r *Report) []*table {
 	t := &table{
 		Title: "Pruning ablation — equivalent tasks, fixed task order, HLoad (serial A*)",
-		Header: []string{"cell", "v", "system", "variant", "time", "states expanded",
+		Header: []string{"cell", "v", "system", "variant", "time", "states expanded", "generated",
 			"vs baseline", "pruned equiv", "pruned fto", "SL", "optimal"},
 	}
-	baseline := map[string]int64{}
-	for _, row := range r.Rows {
-		if row.Variant == "baseline" {
-			baseline[row.Cell] = row.Expanded
-		}
-	}
-	for _, row := range r.Rows {
-		ratio := "—"
-		if b := baseline[row.Cell]; b > 0 && row.Expanded > 0 && row.Variant != "baseline" {
-			ratio = fmt.Sprintf("%.2fx", float64(b)/float64(row.Expanded))
+	for i := range r.Records {
+		rec := &r.Records[i]
+		vs := "—"
+		base := r.find(func(x *Record) bool { return x.Instance == rec.Instance && x.Variant == "baseline" })
+		if base != nil && base != rec && base.Expanded > 0 && rec.Expanded > 0 {
+			vs = fmt.Sprintf("%.2fx", float64(base.Expanded)/float64(rec.Expanded))
 		}
 		t.Rows = append(t.Rows, []string{
-			row.Cell, fmt.Sprint(row.V), row.System, row.Variant,
-			fmtDuration(row.Time), fmt.Sprint(row.Expanded), ratio,
-			fmt.Sprint(row.PrunedEquiv), fmt.Sprint(row.PrunedFTO),
-			fmt.Sprint(row.Length), fmt.Sprint(row.Optimal),
+			rec.Instance, fmt.Sprint(rec.V), rec.System, rec.Variant,
+			fmtDuration(rec.wall()), fmt.Sprint(rec.Expanded), fmt.Sprint(rec.Generated), vs,
+			fmt.Sprint(rec.PrunedEquiv), fmt.Sprint(rec.PrunedFTO),
+			fmt.Sprint(rec.Makespan), fmt.Sprint(rec.Optimal),
 		})
 	}
 	t.Notes = append(t.Notes,

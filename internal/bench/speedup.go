@@ -1,236 +1,171 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"time"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/gen"
-	"repro/internal/procgraph"
-	"repro/internal/taskgraph"
 )
 
 // This file is the native-engine scaling experiment: real wall-clock
 // self-relative speedup of the work-stealing multi-core engine, measured on
 // the host it runs on, next to the paper-modeled speedup of the
 // bulk-synchronous Paragon simulation (internal/parallel) on the same
-// instances. Each (v, workers) cell produces two rows:
+// instances. Each (v, workers) cell produces two native records:
 //
-//   - a "dive" row: the HPlus heuristic proves the layered-STG optimum in a
-//     handful of expansions. It contributes no meaningful timing, but it is
-//     the determinism gate: the native makespan must equal serial A*'s and
-//     BoundFactor must be exactly 1 at every worker count, or the run is
-//     recorded as failed (CI's perf-smoke job exits non-zero on it).
-//   - a "budget" row: the paper heuristic under a fixed expansion budget —
-//     real search work at every worker count, so the wall-clock ratio
-//     against the workers=1 row measures how the engine actually scales on
-//     this machine's cores.
-
-// SpeedupRow is one measurement of the speedup experiment.
-type SpeedupRow struct {
-	V        int
-	Workers  int
-	Mode     string // "dive" or "budget"
-	Time     time.Duration
-	Expanded int64
-	Length   int32
-	Optimal  bool
-	Bound    float64
-	// WallSpeedup is the workers=1 wall time of the same (v, mode) series
-	// divided by this row's — self-relative, bounded by the host's cores.
-	WallSpeedup float64
-	// RateSpeedup is the expanded-states/sec ratio against the workers=1
-	// row, which corrects for budget rows expanding slightly different
-	// state counts.
-	RateSpeedup float64
-	// Modeled is the Paragon-model speedup of the bulk-synchronous parallel
-	// engine at the same worker count (serial expansions / critical work);
-	// 0 when not measured (dive rows).
-	Modeled float64
-}
-
-// SpeedupResult reports the speedup experiment.
-type SpeedupResult struct {
-	Rows   []SpeedupRow
-	Config Config
-	// gate lists determinism-gate violations: any native dive cell whose
-	// makespan differs from serial A*'s or whose BoundFactor is not
-	// exactly 1, and any engine error.
-	gate
-}
-
-// speedupInstance builds the layered-STG workload for one size, the same
-// shape as the large experiment.
-func speedupInstance(v int, seed uint64) (*taskgraph.Graph, *procgraph.System, error) {
-	layers := v / 4
-	if layers < 1 {
-		layers = 1
-	}
-	g, err := gen.LayeredSTG(gen.LayeredConfig{Layers: layers, Width: 4, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, procgraph.Complete(8), nil
-}
+//   - a "dive" record: the HPlus heuristic proves the layered-STG optimum
+//     in a handful of expansions. It contributes no meaningful timing, but
+//     it is the determinism gate: the native makespan must equal serial
+//     A*'s and BoundFactor must be exactly 1 at every worker count, or the
+//     run is recorded as failed (CI's bench-smoke job exits non-zero on it).
+//   - a "budget" record: the paper heuristic under a fixed expansion
+//     budget — real search work at every worker count. The budget holds
+//     expansions equal, but the work is in generated children, whose count
+//     depends on the search order; so the table reports ns per generated
+//     child and a rate speedup in generated children per second against
+//     the workers=1 record, next to the plain wall-clock ratio.
+//
+// A "reference" record is the serial A* run every dive is pinned to, and
+// per worker count above 1 a parallel-engine "budget" record carries the
+// critical work the modeled speedup divides by.
 
 // RunSpeedup measures the native engine's scaling: per size, a serial A*
 // reference, then per worker count one proof (dive) cell and one
-// fixed-budget throughput cell, plus the Paragon-modeled speedup of the
-// parallel engine for comparison.
-func RunSpeedup(cfg Config) *SpeedupResult {
-	sizes := cfg.Sizes
-	if sizes == nil {
-		sizes = []int{80, 128}
+// fixed-budget throughput cell, plus the parallel engine's run for the
+// Paragon-modeled speedup. Sizes default to {80, 128} and worker counts
+// to {1, 2, 4, 8}; every series is self-relative to workers=1, which is
+// added when absent.
+func RunSpeedup(cfg Config) *Report {
+	if cfg.Sizes == nil {
+		cfg.Sizes = []int{80, 128}
 	}
-	workerCounts := cfg.PPEs
-	if workerCounts == nil {
-		workerCounts = []int{1, 2, 4, 8}
+	workerCounts := []int{1, 2, 4, 8}
+	if cfg.PPEs != nil {
+		workerCounts = append([]int{1}, cfg.PPEs...)
 	}
-	// Every series is self-relative to workers=1, so the baseline cell must
-	// exist and run first: add 1 when absent and process in ascending order.
-	hasOne := false
-	for _, w := range workerCounts {
-		hasOne = hasOne || w == 1
-	}
-	if !hasOne {
-		workerCounts = append([]int{1}, workerCounts...)
-	}
-	workerCounts = append([]int(nil), workerCounts...)
-	sort.Ints(workerCounts)
+	slices.Sort(workerCounts)
+	cfg.PPEs = slices.Compact(workerCounts)
 	cfg = cfg.withDefaults()
-	res := &SpeedupResult{Config: cfg}
+	rep := newReport("speedup", cfg)
 
-	for _, v := range sizes {
-		g, sys, err := speedupInstance(v, cfg.Seed)
+	for _, v := range cfg.Sizes {
+		g, sys, err := layeredInstance(v, cfg.Seed)
 		if err != nil {
-			res.failf("v=%d: workload generation failed: %v", v, err)
+			rep.failf("v=%d: workload generation failed: %v", v, err)
 			continue
 		}
 		// The layered generator rounds v down to a multiple of its layer
-		// width; label every row with the size actually solved.
+		// width; the records carry the size actually solved.
 		v = g.NumNodes()
 
 		// Serial A* reference with the strengthened heuristic: the optimum
 		// every dive cell is pinned to.
 		refCfg := cfg.cellConfig()
 		refCfg.HFunc = core.HPlus
-		ref, err := engine.Solve(context.Background(), "astar", g, sys, refCfg)
+		ref, err := runCell("astar", g, sys, refCfg)
 		if err != nil {
-			res.failf("v=%d: serial reference failed: %v", v, err)
+			rep.failf("v=%d: serial reference failed: %v", v, err)
 			continue
 		}
+		ref.Variant = "reference"
+		rep.Records = append(rep.Records, ref)
 		if !ref.Optimal {
-			res.failf("v=%d: serial reference did not prove optimality under the cell budget", v)
+			rep.failf("v=%d: serial reference did not prove optimality under the cell budget", v)
 			continue
 		}
 
-		var diveBase, budgetBase SpeedupRow
-		for _, w := range workerCounts {
+		for _, w := range cfg.PPEs {
 			// Dive cell: prove the optimum, gate determinism.
 			diveCfg := refCfg
 			diveCfg.Workers = w
-			start := time.Now()
-			dive, err := engine.Solve(context.Background(), "native", g, sys, diveCfg)
-			if err != nil {
+			if dive, err := runCell("native", g, sys, diveCfg); err != nil {
 				// Record the gate failure but still measure the budget cell:
 				// a broken dive must not silently zero the scaling series.
-				res.failf("v=%d workers=%d: native dive failed: %v", v, w, err)
+				rep.failf("v=%d workers=%d: native dive failed: %v", v, w, err)
 			} else {
-				row := SpeedupRow{
-					V: v, Workers: w, Mode: "dive", Time: time.Since(start),
-					Expanded: dive.Stats.Expanded, Length: dive.Length,
-					Optimal: dive.Optimal, Bound: dive.BoundFactor,
-				}
-				if dive.Length != ref.Length {
-					res.failf("v=%d workers=%d: native makespan %d differs from serial A* optimum %d", v, w, dive.Length, ref.Length)
+				if dive.Makespan != ref.Makespan {
+					rep.failf("v=%d workers=%d: native makespan %d differs from serial A* optimum %d", v, w, dive.Makespan, ref.Makespan)
 				}
 				if dive.BoundFactor != 1 {
-					res.failf("v=%d workers=%d: native BoundFactor %g, want exactly 1", v, w, dive.BoundFactor)
+					rep.failf("v=%d workers=%d: native BoundFactor %g, want exactly 1", v, w, dive.BoundFactor)
 				}
-				if w == 1 {
-					diveBase = row
-				}
-				fillSpeedups(&row, diveBase)
-				res.Rows = append(res.Rows, row)
+				dive.Variant = "dive"
+				rep.Records = append(rep.Records, dive)
 			}
 
 			// Budget cell: real search work under the paper heuristic.
 			budCfg := cfg.cellConfig()
 			budCfg.Workers = w
-			start = time.Now()
-			bud, err := engine.Solve(context.Background(), "native", g, sys, budCfg)
+			bud, err := runCell("native", g, sys, budCfg)
 			if err != nil {
-				res.failf("v=%d workers=%d: native budget cell failed: %v", v, w, err)
+				rep.failf("v=%d workers=%d: native budget cell failed: %v", v, w, err)
 				continue
 			}
-			brow := SpeedupRow{
-				V: v, Workers: w, Mode: "budget", Time: time.Since(start),
-				Expanded: bud.Stats.Expanded, Length: bud.Length,
-				Optimal: bud.Optimal, Bound: bud.BoundFactor,
-			}
-			if w == 1 {
-				budgetBase = brow
-			}
-			fillSpeedups(&brow, budgetBase)
+			bud.Variant = "budget"
+			rep.Records = append(rep.Records, bud)
+
 			// Paragon-modeled comparison at the same worker count.
-			if w > 1 && budgetBase.Expanded > 0 {
+			if w > 1 {
 				pcfg := cfg.cellConfig()
 				pcfg.PPEs = w
 				pcfg.PeriodFloor = cfg.PeriodFloor
-				if par, err := engine.Solve(context.Background(), "parallel", g, sys, pcfg); err == nil && par.Stats.CriticalWork > 0 {
-					brow.Modeled = float64(budgetBase.Expanded) / float64(par.Stats.CriticalWork)
+				par, err := runCell("parallel", g, sys, pcfg)
+				if err != nil {
+					rep.failf("v=%d workers=%d: parallel model cell failed: %v", v, w, err)
+					continue
 				}
+				par.Variant = "budget"
+				rep.Records = append(rep.Records, par)
 			}
-			res.Rows = append(res.Rows, brow)
 		}
 	}
-	return res
+	return rep
 }
 
-// fillSpeedups derives the self-relative ratios of row against the
-// workers=1 base of its series.
-func fillSpeedups(row *SpeedupRow, base SpeedupRow) {
-	if base.Time <= 0 || row.Time <= 0 {
-		return
-	}
-	row.WallSpeedup = base.Time.Seconds() / row.Time.Seconds()
-	baseRate := float64(base.Expanded) / base.Time.Seconds()
-	rate := float64(row.Expanded) / row.Time.Seconds()
-	if baseRate > 0 {
-		row.RateSpeedup = rate / baseRate
-	}
-}
-
-// Tables renders the speedup matrix.
-func (r *SpeedupResult) Tables() []*table {
+// speedupTables renders the native records of the speedup matrix, each
+// against the workers=1 record of its (instance, mode) series: wall × is
+// the wall-time ratio, rate × the ratio of generated children per second,
+// and modeled × (budget rows) the workers=1 expansions over the parallel
+// engine's critical work at the same worker count.
+func speedupTables(r *Report) []*table {
 	t := &table{
-		Title:  "Native engine — work-stealing multi-core speedup (self-relative)",
-		Header: []string{"v", "workers", "mode", "time", "states expanded", "SL", "optimal", "bound", "wall ×", "rate ×", "modeled ×"},
+		Title: "Native engine — work-stealing multi-core speedup (self-relative)",
+		Header: []string{"v", "workers", "mode", "time", "states expanded", "generated", "ns/child",
+			"SL", "optimal", "bound", "wall ×", "rate ×", "modeled ×"},
 	}
-	for _, row := range r.Rows {
-		bound := "—"
-		if row.Bound > 0 {
-			bound = fmt.Sprintf("%g", row.Bound)
+	for i := range r.Records {
+		rec := &r.Records[i]
+		if rec.Engine != "native" {
+			continue
+		}
+		base := r.find(func(x *Record) bool {
+			return x.Instance == rec.Instance && x.Engine == "native" && x.Variant == rec.Variant && x.Workers == 1
+		})
+		var wallX, rateX float64
+		if base != nil {
+			wallX = ratio(base.WallMS, rec.WallMS)
+			rateX = ratio(ratio(float64(rec.Generated), rec.WallMS), ratio(float64(base.Generated), base.WallMS))
 		}
 		modeled := "—"
-		if row.Modeled > 0 {
-			modeled = fmt.Sprintf("%.2f", row.Modeled)
+		par := r.find(func(x *Record) bool {
+			return x.Instance == rec.Instance && x.Engine == "parallel" && x.Variant == rec.Variant && x.Workers == rec.Workers
+		})
+		if base != nil && par != nil && par.CriticalWork > 0 {
+			modeled = fmt.Sprintf("%.2f", float64(base.Expanded)/float64(par.CriticalWork))
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(row.V), fmt.Sprint(row.Workers), row.Mode, fmtDuration(row.Time),
-			fmt.Sprint(row.Expanded), fmt.Sprint(row.Length), fmt.Sprint(row.Optimal), bound,
-			fmt.Sprintf("%.2f", row.WallSpeedup), fmt.Sprintf("%.2f", row.RateSpeedup), modeled,
+			fmt.Sprint(rec.V), fmt.Sprint(rec.Workers), rec.Variant, fmtDuration(rec.wall()),
+			fmt.Sprint(rec.Expanded), fmt.Sprint(rec.Generated),
+			fmt.Sprintf("%.0f", ratio(rec.WallMS*1e6, float64(rec.Generated))),
+			fmt.Sprint(rec.Makespan), fmt.Sprint(rec.Optimal), boundString(rec),
+			fmt.Sprintf("%.2f", wallX), fmt.Sprintf("%.2f", rateX), modeled,
 		})
 	}
 	t.Notes = append(t.Notes,
 		"layered STG workload (zero communication costs), complete:8 target",
 		"dive rows: HPlus heuristic to a proven optimum — the determinism gate (makespan and BoundFactor pinned to serial A*)",
-		fmt.Sprintf("budget rows: paper heuristic under a %d-expansion budget — wall × and rate × are self-relative to workers=1 on this host", r.Config.CellBudget),
-		fmt.Sprintf("wall-clock speedup is capped by GOMAXPROCS=%d / NumCPU=%d on this host; modeled × is the Paragon-model speedup of the bulk-synchronous engine (DESIGN.md §5)", runtime.GOMAXPROCS(0), runtime.NumCPU()))
+		fmt.Sprintf("budget rows: paper heuristic under a %d-expansion budget; the budget holds expansions equal, not generated children, so rate × (generated children per second) and ns/child are the per-unit-of-work figures — all × columns are self-relative to workers=1 on this host", r.Config.CellBudget),
+		fmt.Sprintf("wall-clock speedup is capped by GOMAXPROCS=%d / NumCPU=%d on this host; modeled × is the Paragon-model speedup of the bulk-synchronous engine (DESIGN.md §5)", r.Host.GoMaxProcs, r.Host.NumCPU))
 	if len(r.Failures) > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf("DETERMINISM GATE FAILED: %d violation(s), see report", len(r.Failures)))
 	}

@@ -567,6 +567,45 @@ func TestClusterGracefulDrainFallsBackImmediately(t *testing.T) {
 	}
 }
 
+// TestDrainedWorkerLeavesAtOnce: a worker that drains gracefully
+// deregisters on its way out, so its idle slots no longer hold a new job
+// back from the daemon's local slot. The failure detector is set far
+// beyond the deadline: a job that had to wait for reap would miss it.
+func TestDrainedWorkerLeavesAtOnce(t *testing.T) {
+	cfg := testTimings()
+	cfg.WorkerTimeout = 30 * time.Second
+	coord, url := newCluster(t, server.Config{Workers: 1}, cfg)
+
+	w := NewWorker(WorkerConfig{Coordinator: url, Name: "leaver", Slots: 1, Logf: t.Logf})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	waitFor(t, "leaver to register", func() bool { return coord.Capacity() == 1 })
+	cancel()
+	<-done
+
+	start := time.Now()
+	id := postJob(t, url, server.SubmitRequest{
+		Graph:  paperGraphJSON(t),
+		System: json.RawMessage(`"ring:3"`),
+	})
+	st := waitTerminal(t, url, id)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("job after the drain took %v, want < 5s (a local slot must not wait for reap)", took)
+	}
+	if st.State != server.StateDone || st.Length != 14 || !st.Optimal {
+		t.Fatalf("job after the drain: state=%s length=%d optimal=%v, want done/14/true", st.State, st.Length, st.Optimal)
+	}
+	var h server.Health
+	getJSON(t, url+"/v1/healthz", &h)
+	if h.Cluster == nil || h.Cluster.Workers != 0 || h.Cluster.Dispatched != 0 {
+		t.Fatalf("healthz cluster = %+v, want 0 workers, 0 dispatched", h.Cluster)
+	}
+}
+
 // TestClusterFallsBackToLocalPool: a -cluster daemon with no registered
 // workers serves jobs exactly like a plain one.
 func TestClusterFallsBackToLocalPool(t *testing.T) {
@@ -663,7 +702,7 @@ func TestClusterBackpressureAggregatesCapacity(t *testing.T) {
 
 // TestWorkerEndpoints walks the /v1/workers protocol surface documented in
 // docs/API.md: registration, heartbeat, empty lease polls, report error
-// codes, and the listing.
+// codes, the listing, and leave.
 func TestWorkerEndpoints(t *testing.T) {
 	_, url := newCluster(t, server.Config{}, testTimings())
 
@@ -761,6 +800,18 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 	if list.Workers[0].Name != "probe" || len(list.Workers[0].Engines) == 0 {
 		t.Fatalf("workers row = %+v", list.Workers[0])
+	}
+
+	// Leave: unknown worker 404; a known one is deregistered at once.
+	if resp, _ := post("/v1/workers/leave", LeaveRequest{WorkerID: "worker-999"}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown-worker leave: got %d, want 404", resp.StatusCode)
+	}
+	if resp, _ := post("/v1/workers/leave", LeaveRequest{WorkerID: reg.WorkerID}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("leave: got %d", resp.StatusCode)
+	}
+	getJSON(t, url+"/v1/workers", &list)
+	if len(list.Workers) != 0 {
+		t.Fatalf("workers list after leave = %+v", list.Workers)
 	}
 }
 

@@ -268,6 +268,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	c.mux.HandleFunc("GET /v1/workers", c.handleList)
 	c.mux.HandleFunc("POST /v1/workers/register", c.handleRegister)
 	c.mux.HandleFunc("POST /v1/workers/heartbeat", c.handleHeartbeat)
+	c.mux.HandleFunc("POST /v1/workers/leave", c.handleLeave)
 	c.mux.HandleFunc("POST /v1/workers/lease", c.handleLease)
 	c.mux.HandleFunc("POST /v1/workers/jobs/{id}/report", c.handleReport)
 	go c.reap()
@@ -313,7 +314,7 @@ func (c *Coordinator) ServeLocal(slots int, solve server.LocalSolve) {
 // serveLocal is one local slot: take the next job no remote worker is
 // free to run, solve it outside the lock, resolve it, repeat. It sleeps on
 // the broadcast channel, which every change to the placement answer (an
-// enqueue, grant, requeue, registration, or reap) closes.
+// enqueue, grant, requeue, registration, leave, or reap) closes.
 func (c *Coordinator) serveLocal(solve server.LocalSolve) {
 	for {
 		c.mu.Lock()
@@ -881,6 +882,33 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusNotFound, server.ErrCodeUnknownWorker, "unknown worker %q (re-register)", req.WorkerID)
 		return
 	}
+	server.WriteJSON(w, http.StatusOK, struct{}{})
+}
+
+// handleLeave deregisters a worker that drained gracefully, so its idle
+// slots stop holding queued jobs back from the local slots until reap. A
+// lease it still holds is re-queued without charging the retry budget,
+// like an abandon report.
+func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
+	var req LeaveRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	c.mu.Lock()
+	ws := c.workers[req.WorkerID]
+	if ws != nil {
+		delete(c.workers, req.WorkerID)
+		for _, t := range ws.leased {
+			c.requeueLocked(t, fmt.Sprintf("worker %s (%s) left", ws.name, ws.id), false)
+		}
+		c.broadcastLocked()
+	}
+	c.mu.Unlock()
+	if ws == nil {
+		server.WriteError(w, http.StatusNotFound, server.ErrCodeUnknownWorker, "unknown worker %q", req.WorkerID)
+		return
+	}
+	c.log.Info("worker left", "worker", ws.name, "worker_id", ws.id)
 	server.WriteJSON(w, http.StatusOK, struct{}{})
 }
 

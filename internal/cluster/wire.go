@@ -96,6 +96,13 @@ type HeartbeatRequest struct {
 	WorkerID string `json:"worker_id"`
 }
 
+// LeaveRequest is the body of POST /v1/workers/leave: a worker that
+// drained gracefully deregistering, so the coordinator stops counting its
+// slots as free without waiting for the failure detector.
+type LeaveRequest struct {
+	WorkerID string `json:"worker_id"`
+}
+
 // LeaseRequest is the body of POST /v1/workers/lease: a long poll for the
 // next queued job. The coordinator holds the request up to WaitMS (capped
 // by its own poll bound) when the queue is empty.

@@ -334,7 +334,8 @@ func (w *Worker) reportInterval() time.Duration {
 // pool slot until ctx is cancelled; each puller is always either
 // long-polling for a lease or reporting on a solve, so the worker's
 // liveness needs no separate heartbeat loop. In-flight jobs are abandoned
-// back to the coordinator on the way out (unless Kill struck first).
+// back to the coordinator on the way out, and the worker then leaves the
+// cluster (unless Kill struck first).
 func (w *Worker) Run(ctx context.Context) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	w.mu.Lock()
@@ -367,7 +368,25 @@ func (w *Worker) Run(ctx context.Context) error {
 	if fatalErr != nil && ctx.Err() == nil {
 		return fatalErr
 	}
+	if fatalErr == nil && !w.killed.Load() {
+		w.leave()
+	}
 	return ctx.Err()
+}
+
+// leaveTimeout bounds the deregistration post of a graceful drain; the
+// process is on its way out, so an unreachable coordinator just reaps it.
+const leaveTimeout = 2 * time.Second
+
+// leave tells the coordinator this worker drained, so its idle slots stop
+// counting as free before the failure detector would reap it. Errors are
+// only logged: reap still covers a lost post.
+func (w *Worker) leave() {
+	ctx, cancel := context.WithTimeout(context.Background(), leaveTimeout)
+	defer cancel()
+	if err := w.post(ctx, "/v1/workers/leave", LeaveRequest{WorkerID: w.workerID()}, nil); err != nil {
+		w.logf("leave: %v", err)
+	}
 }
 
 // pull is one slot's lease loop; it returns non-nil only on a fatal,
