@@ -24,10 +24,6 @@ func fastCfg() Config {
 	}
 }
 
-// EnginesResult is the report of an engines run, as the gate test below
-// names it.
-type EnginesResult = Report
-
 // sibling returns the record of engine and variant on rec's instance.
 func sibling(t *testing.T, rep *Report, rec *Record, engine, variant string) *Record {
 	t.Helper()
@@ -121,11 +117,11 @@ func TestRunFig7(t *testing.T) {
 		points := 0
 		for i := range res.Records {
 			approx := &res.Records[i]
-			if approx.Epsilon != eps {
+			if approx.Variant == "exact" || approx.Epsilon != eps {
 				continue
 			}
 			points++
-			exact := res.find(func(x *Record) bool { return x.Instance == approx.Instance && x.Epsilon == 0 })
+			exact := res.find(func(x *Record) bool { return x.Instance == approx.Instance && x.Variant == "exact" })
 			if exact == nil {
 				t.Fatalf("%s: no exact record", approx.Instance)
 			}
@@ -145,6 +141,30 @@ func TestRunFig7(t *testing.T) {
 		}
 	}
 	render(t, res, "Figure 7")
+}
+
+// TestFig7EpsilonZero: an ε = 0 run is one more approximate row per
+// (CCR, v), compared against the exact run, not a second exact run.
+func TestFig7EpsilonZero(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Sizes = []int{8}
+	cfg.Epsilons = []float64{0, 0.5}
+	res := RunFig7(cfg)
+	if len(res.Failures) != 0 {
+		t.Fatalf("failures: %v", res.Failures)
+	}
+	tables := res.Tables()
+	if len(tables) != 2 {
+		t.Fatalf("got %d tables, want one per ε", len(tables))
+	}
+	for _, tb := range tables {
+		if len(tb.Rows) != 1 {
+			t.Errorf("%s: %d rows, want one per (CCR, v): %v", tb.Title, len(tb.Rows), tb.Rows)
+		}
+	}
+	if got := tables[0].Rows[0][2]; got != "0.0" {
+		t.Errorf("ε = 0 deviation = %q, want 0.0", got)
+	}
 }
 
 func TestRunAblation(t *testing.T) {
@@ -229,7 +249,7 @@ func TestEngineErrorFailsTheGate(t *testing.T) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
-	res := &EnginesResult{Config: cfg}
+	res := newReport("engines", cfg)
 	res.failf("engines: %v", err)
 	var md bytes.Buffer
 	if err := Write(&md, "md", res); err != nil {

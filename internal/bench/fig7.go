@@ -6,7 +6,8 @@ import (
 
 // RunFig7 regenerates Figure 7: percentage deviation from optimal and
 // scheduling-time ratio of the parallel Aε* versus the parallel A* on the
-// same PPE count. The exact run is the record with no epsilon.
+// same PPE count. The exact run is the record of variant "exact", so an
+// ε = 0 run is compared against it like any other ε.
 func RunFig7(cfg Config) *Report {
 	cfg = cfg.withDefaults()
 	rep := newReport("fig7", cfg)
@@ -19,7 +20,7 @@ func RunFig7(cfg Config) *Report {
 				rep.failf("fig7: %v", err)
 				continue
 			}
-			exact.CCR = ccr
+			exact.CCR, exact.Variant = ccr, "exact"
 			rep.Records = append(rep.Records, exact)
 			for _, eps := range cfg.Epsilons {
 				acfg := pcfg
@@ -52,10 +53,10 @@ func fig7Tables(r *Report) []*table {
 		for _, ccr := range r.Config.CCRs {
 			for i := range r.Records {
 				approx := &r.Records[i]
-				if approx.CCR != ccr || approx.Epsilon != eps {
+				if approx.CCR != ccr || approx.Variant == "exact" || approx.Epsilon != eps {
 					continue
 				}
-				exact := r.find(func(x *Record) bool { return x.Instance == approx.Instance && x.Epsilon == 0 })
+				exact := r.find(func(x *Record) bool { return x.Instance == approx.Instance && x.Variant == "exact" })
 				if exact == nil {
 					continue
 				}
