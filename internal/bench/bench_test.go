@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -362,5 +363,20 @@ func TestRunSpeedup(t *testing.T) {
 	md := render(t, res, "Native engine")
 	if !strings.Contains(md, "ns/child") {
 		t.Errorf("speedup table lacks ns/child:\n%s", md)
+	}
+	// modeled × is the parallel engine's proof of the dive's optimum; a
+	// budget-cut parallel run would only restate the worker count, so
+	// budget rows carry none.
+	tb := speedupTables(res)[0]
+	for _, row := range tb.Rows {
+		workers, mode, modeled := row[1], row[2], row[len(row)-1]
+		switch {
+		case mode == "budget" && modeled != "—":
+			t.Errorf("workers=%s budget row: modeled × = %q, want —", workers, modeled)
+		case mode == "dive" && workers != "1":
+			if _, err := strconv.ParseFloat(modeled, 64); err != nil {
+				t.Errorf("workers=%s dive row: modeled × = %q, want a number", workers, modeled)
+			}
+		}
 	}
 }

@@ -26,12 +26,15 @@ import (
 //     the workers=1 record, next to the plain wall-clock ratio.
 //
 // A "reference" record is the serial A* run every dive is pinned to, and
-// per worker count above 1 a parallel-engine "budget" record carries the
-// critical work the modeled speedup divides by.
+// per worker count above 1 a parallel-engine "dive" record — the same
+// proof on the bulk-synchronous engine — carries the critical work the
+// modeled speedup divides by. Budget rows carry no modeled speedup: a
+// parallel run cut off by the budget splits it evenly over its PPEs, so
+// the ratio would only restate the worker count.
 
 // RunSpeedup measures the native engine's scaling: per size, a serial A*
 // reference, then per worker count one proof (dive) cell and one
-// fixed-budget throughput cell, plus the parallel engine's run for the
+// fixed-budget throughput cell, plus the parallel engine's proof for the
 // Paragon-modeled speedup. Sizes default to {80, 128} and worker counts
 // to {1, 2, 4, 8}; every series is self-relative to workers=1, which is
 // added when absent.
@@ -104,9 +107,10 @@ func RunSpeedup(cfg Config) *Report {
 			bud.Variant = "budget"
 			rep.Records = append(rep.Records, bud)
 
-			// Paragon-modeled comparison at the same worker count.
+			// Paragon-modeled comparison at the same worker count, on the
+			// dive's proof.
 			if w > 1 {
-				pcfg := cfg.cellConfig()
+				pcfg := refCfg
 				pcfg.PPEs = w
 				pcfg.PeriodFloor = cfg.PeriodFloor
 				par, err := runCell("parallel", g, sys, pcfg)
@@ -114,7 +118,7 @@ func RunSpeedup(cfg Config) *Report {
 					rep.failf("v=%d workers=%d: parallel model cell failed: %v", v, w, err)
 					continue
 				}
-				par.Variant = "budget"
+				par.Variant = "dive"
 				rep.Records = append(rep.Records, par)
 			}
 		}
@@ -125,8 +129,8 @@ func RunSpeedup(cfg Config) *Report {
 // speedupTables renders the native records of the speedup matrix, each
 // against the workers=1 record of its (instance, mode) series: wall × is
 // the wall-time ratio, rate × the ratio of generated children per second,
-// and modeled × (budget rows) the workers=1 expansions over the parallel
-// engine's critical work at the same worker count.
+// and modeled × (dive rows) the workers=1 expansions over the parallel
+// engine's critical work on the same proof at the same worker count.
 func speedupTables(r *Report) []*table {
 	t := &table{
 		Title: "Native engine — work-stealing multi-core speedup (self-relative)",
@@ -148,9 +152,9 @@ func speedupTables(r *Report) []*table {
 		}
 		modeled := "—"
 		par := r.find(func(x *Record) bool {
-			return x.Instance == rec.Instance && x.Engine == "parallel" && x.Variant == rec.Variant && x.Workers == rec.Workers
+			return x.Instance == rec.Instance && x.Engine == "parallel" && x.Variant == "dive" && x.Workers == rec.Workers
 		})
-		if base != nil && par != nil && par.CriticalWork > 0 {
+		if rec.Variant == "dive" && base != nil && par != nil && par.Optimal && par.CriticalWork > 0 {
 			modeled = fmt.Sprintf("%.2f", float64(base.Expanded)/float64(par.CriticalWork))
 		}
 		t.Rows = append(t.Rows, []string{
@@ -165,7 +169,7 @@ func speedupTables(r *Report) []*table {
 		"layered STG workload (zero communication costs), complete:8 target",
 		"dive rows: HPlus heuristic to a proven optimum — the determinism gate (makespan and BoundFactor pinned to serial A*)",
 		fmt.Sprintf("budget rows: paper heuristic under a %d-expansion budget; the budget holds expansions equal, not generated children, so rate × (generated children per second) and ns/child are the per-unit-of-work figures — all × columns are self-relative to workers=1 on this host", r.Config.CellBudget),
-		fmt.Sprintf("wall-clock speedup is capped by GOMAXPROCS=%d / NumCPU=%d on this host; modeled × is the Paragon-model speedup of the bulk-synchronous engine (DESIGN.md §5)", r.Host.GoMaxProcs, r.Host.NumCPU))
+		fmt.Sprintf("wall-clock speedup is capped by GOMAXPROCS=%d / NumCPU=%d on this host; modeled × (dive rows only) is the Paragon-model speedup of the bulk-synchronous engine proving the same optimum (DESIGN.md §5)", r.Host.GoMaxProcs, r.Host.NumCPU))
 	if len(r.Failures) > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf("DETERMINISM GATE FAILED: %d violation(s), see report", len(r.Failures)))
 	}

@@ -30,7 +30,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -945,15 +944,15 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			if started != nil {
 				started()
 			}
-			// The instance is serialized here, outside the lock: a grant must
+			// The instance is encoded here, outside the lock: a grant must
 			// not hold the lease table through a graph-sized marshal, and a
-			// job a local slot solves is never marshalled at all. A validated
-			// instance cannot fail to encode; if one does, that is this job's
-			// failure, not a queue wedge.
-			var gerr, serr error
-			lease.Graph, gerr = json.Marshal(t.job.Graph)
-			lease.System, serr = json.Marshal(t.job.System)
-			if err := errors.Join(gerr, serr); err != nil {
+			// job a local slot solves is never encoded for a lease. The
+			// encoding is the instance's own, made once (at admission, by
+			// the file-backed store) and shared by every lease of it. A
+			// validated instance cannot fail to encode; if one does, that
+			// is this job's failure, not a queue wedge.
+			var err error
+			if lease.Graph, lease.System, err = t.job.Encode(); err != nil {
 				c.mu.Lock()
 				c.resolveLocked(t, outcome{errMessage: "cluster: encode instance: " + err.Error()})
 				c.mu.Unlock()

@@ -15,6 +15,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +24,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/gen"
+	"repro/internal/procgraph"
 	"repro/internal/server"
+	"repro/internal/solverpool"
+	"repro/internal/taskgraph"
 )
 
 // releaseGate blocks every solve until the test releases it, then solves
@@ -546,4 +552,92 @@ func TestAdoptionGraceExpiryDoesNotChargeBudget(t *testing.T) {
 		}
 	}
 	t.Errorf("trace lacks an adopt span with outcome=expired; spans: %+v", tr.Spans)
+}
+
+// TestLeaseCarriesAdmissionBytes: with a file-backed store the lease
+// ships the instance bytes the store encoded for its WAL at admission,
+// not a second encoding; the leased graph and system equal the WAL
+// record's byte for byte (modulo the response's indentation) and decode
+// to the submitted instance.
+func TestLeaseCarriesAdmissionBytes(t *testing.T) {
+	dir := t.TempDir()
+	srv, coord, _ := openIncarnation(t, dir, restartTimings())
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+		coord.Close()
+	})
+	post := func(path string, body, out any) {
+		t.Helper()
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s: %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A registered worker with a free slot keeps the job off the daemon's
+	// local slots (placement is remote-first).
+	var reg RegisterResponse
+	post("/v1/workers/register", RegisterRequest{ProtocolVersion: ProtocolVersion, Name: "probe", Capacity: 1, Engines: []string{"astar"}}, &reg)
+	var sub server.SubmitResponse
+	post("/v1/jobs", server.SubmitRequest{Graph: paperGraphJSON(t), System: json.RawMessage(`"ring:3"`)}, &sub)
+	var lease LeaseResponse
+	post("/v1/workers/lease", LeaseRequest{ProtocolVersion: ProtocolVersion, WorkerID: reg.WorkerID, WaitMS: 5000}, &lease)
+	if lease.Job == nil || lease.Job.ID != sub.ID {
+		t.Fatalf("lease = %+v, want job %s", lease.Job, sub.ID)
+	}
+
+	wal, err := os.ReadFile(filepath.Join(dir, "wal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walGraph, walSystem json.RawMessage
+	for _, line := range bytes.Split(wal, []byte("\n")) {
+		var rec struct {
+			ID     string          `json:"id"`
+			Graph  json.RawMessage `json:"graph"`
+			System json.RawMessage `json:"system"`
+		}
+		if json.Unmarshal(line, &rec) == nil && rec.ID == sub.ID && rec.Graph != nil {
+			walGraph, walSystem = rec.Graph, rec.System
+		}
+	}
+	if walGraph == nil || walSystem == nil {
+		t.Fatalf("no WAL record of %s carries the instance:\n%s", sub.ID, wal)
+	}
+	for _, c := range []struct {
+		name        string
+		leased, wal json.RawMessage
+	}{{"graph", lease.Job.Graph, walGraph}, {"system", lease.Job.System, walSystem}} {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, c.leased); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(compact.Bytes(), c.wal) {
+			t.Fatalf("leased %s differs from the WAL record's:\nlease: %s\nwal:   %s", c.name, compact.Bytes(), c.wal)
+		}
+	}
+	g, err := taskgraph.FromJSON(lease.Job.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := procgraph.FromJSON(lease.Job.System)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantG, wantS := solverpool.InstanceDigest(gen.PaperExample(), procgraph.Ring(3))
+	if gd, sd := solverpool.InstanceDigest(g, sys); gd != wantG || sd != wantS {
+		t.Fatal("the leased bytes decode to a different instance than the one submitted")
+	}
 }

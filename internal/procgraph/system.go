@@ -186,6 +186,18 @@ func (s *System) interchangeable(i, j int) bool {
 	return true
 }
 
+// Footprint estimates the bytes the system keeps resident: the P×P
+// distance matrix, the adjacency lists, and the per-PE speeds, classes and
+// row headers. Holders of many systems (the daemon's schedule cache and
+// admission memo) budget their memory with it.
+func (s *System) Footprint() int64 {
+	n := int64(len(s.name)) + int64(s.n)*int64(s.n)*4 + int64(s.n)*(2*24+8+4)
+	for _, row := range s.adj {
+		n += int64(cap(row)) * 4
+	}
+	return n
+}
+
 // Name returns the system's name.
 func (s *System) Name() string { return s.name }
 

@@ -57,17 +57,17 @@ const CacheBypass = "bypass"
 
 // cacheKey addresses a submission in the schedule cache: the instance
 // digest pair (graph structure + processor system, the same FNV-1a
-// digests the pool's model memo uses) plus a digest of everything else
-// that shapes the answer — the engine selection and the full wire budget.
-// Two submissions with equal keys are the same question, so the cached
-// result is returned verbatim (modulo the job ID).
-func cacheKey(g *taskgraph.Graph, sys *procgraph.System, engines []string, cfg JobConfig) solverpool.CacheKey {
-	gd, sd := solverpool.InstanceDigest(g, sys)
+// digests the pool's model memo uses, computed once when the instance was
+// admitted) plus a digest of everything else that shapes the answer — the
+// engine selection and the full wire budget. Two submissions with equal
+// keys ask the same question of instances the cache then compares
+// exactly, so the cached result is returned verbatim (modulo the job ID).
+func cacheKey(in *instance, engines []string, cfg JobConfig) solverpool.CacheKey {
 	blob, _ := json.Marshal(struct {
 		Engines []string  `json:"engines"`
 		Config  JobConfig `json:"config"`
 	}{engines, cfg})
-	return solverpool.CacheKey{Graph: gd, System: sd, Config: solverpool.BytesDigest(blob)}
+	return solverpool.CacheKey{Graph: in.graphDigest, System: in.systemDigest, Config: solverpool.BytesDigest(blob)}
 }
 
 // JobConfig is the budget/variant surface of engine.Config a network

@@ -235,7 +235,7 @@ func TestFinishPublishesCacheAndPersistFirst(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: job never finished", eng)
 		}
-		if _, ok := srv.cache.Get(j.cacheKey); !ok {
+		if _, ok := srv.cache.Get(j.cacheKey, j.inst.graph, j.inst.system); !ok {
 			t.Errorf("%s: job is terminal but its result is not in the schedule cache", eng)
 		}
 		spans, _ := j.trace.Snapshot()
@@ -257,13 +257,12 @@ func TestFinishPublishesCacheAndPersistFirst(t *testing.T) {
 		{"cancelled", cancelled, "", StateCancelled},
 		{"failed", context.Background(), "engine exploded", StateFailed},
 	} {
-		g := gen.PaperExample()
-		sys := procgraph.Ring(3)
+		inst := newInstance(gen.PaperExample(), procgraph.Ring(3))
 		j := &job{
-			graph: g, system: sys, engines: []string{"astar"},
+			inst: inst, engines: []string{"astar"},
 			cancel: func() {}, progress: &solverpool.Progress{},
 			trace:    obs.NewRecorder(obs.NewTraceID()),
-			cacheKey: cacheKey(g, sys, []string{"astar", tc.name}, JobConfig{}),
+			cacheKey: cacheKey(inst, []string{"astar", tc.name}, JobConfig{}),
 			cacheOK:  true,
 		}
 		if _, err := srv.store.add(j); err != nil {
@@ -273,7 +272,7 @@ func TestFinishPublishesCacheAndPersistFirst(t *testing.T) {
 		if st := srv.store.status(j); st.State != tc.want {
 			t.Fatalf("%s: job ended %s, want %s", tc.name, st.State, tc.want)
 		}
-		if _, ok := srv.cache.Get(j.cacheKey); ok {
+		if _, ok := srv.cache.Get(j.cacheKey, inst.graph, inst.system); ok {
 			t.Errorf("%s job was cached", tc.name)
 		}
 	}

@@ -252,8 +252,6 @@ func recordOf(op storeOp, j *job, seq int64) jobRecord {
 		State:     j.state,
 		Engines:   j.engines,
 		Config:    j.config,
-		Graph:     j.rawGraph,
-		System:    j.rawSystem,
 		Created:   j.created,
 		Started:   j.started,
 		Finished:  j.finished,
@@ -266,6 +264,9 @@ func recordOf(op storeOp, j *job, seq int64) jobRecord {
 		return jobRecord{Op: opDelRec, Seq: seq, ID: j.id}
 	}
 	rec.Op = opPutRec
+	if enc := j.inst.encoded.Load(); enc != nil {
+		rec.Graph, rec.System = enc.graph, enc.system
+	}
 	rec.Expanded, rec.Generated = j.progress.Snapshot()
 	rec.PrunedEquiv, rec.PrunedFTO = j.progress.SnapshotPruned()
 	if j.trace != nil {
@@ -301,14 +302,13 @@ func (rec jobRecord) toJob(now time.Time, resumable bool) (*job, error) {
 		rec.Finished = now
 		rec.Result = nil
 	}
+	inst := &instance{graph: g, system: sys}
+	inst.encoded.Store(&instanceJSON{graph: rec.Graph, system: rec.System})
 	j := &job{
 		id:         rec.ID,
-		graph:      g,
-		system:     sys,
+		inst:       inst,
 		engines:    rec.Engines,
 		config:     rec.Config,
-		rawGraph:   rec.Graph,
-		rawSystem:  rec.System,
 		cancel:     func() {},
 		progress:   &solverpool.Progress{},
 		done:       make(chan struct{}),
@@ -369,7 +369,7 @@ type fileStore struct {
 // retained jobs, rewrites a fresh snapshot reflecting the recovered state
 // (so interruption rewrites are durable and the next start replays
 // nothing), and arms the WAL sink.
-func openFileStore(dir string, cap int, ttl time.Duration, cache *solverpool.ResultCache) (*fileStore, error) {
+func openFileStore(dir string, cap int, ttl time.Duration, cache *solverpool.ResultCache[JobResult]) (*fileStore, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
 	}
@@ -434,14 +434,12 @@ func openFileStore(dir string, cap int, ttl time.Duration, cache *solverpool.Res
 	return fs, nil
 }
 
-// add marshals the instance into its canonical persisted form before
+// add encodes the instance into its canonical persisted form before
 // admission, so the sink (running under the store mutex) never marshals.
+// The encoding stays with the shared instance, so a repeated submission
+// and the job's cluster lease reuse these bytes.
 func (fs *fileStore) add(j *job) (string, error) {
-	var err error
-	if j.rawGraph, err = json.Marshal(j.graph); err != nil {
-		return "", err
-	}
-	if j.rawSystem, err = json.Marshal(j.system); err != nil {
+	if _, _, err := j.inst.encode(); err != nil {
 		return "", err
 	}
 	return fs.memStore.add(j)

@@ -297,7 +297,7 @@ func TestRecoveryEvictsInFinishOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	newJob := func() *job {
-		return &job{graph: g, system: sys, cancel: func() {}, progress: &solverpool.Progress{}}
+		return &job{inst: newInstance(g, sys), cancel: func() {}, progress: &solverpool.Progress{}}
 	}
 	base := time.Unix(1_000_000_000, 0)
 	clock := base
@@ -370,6 +370,7 @@ func TestRecoveryEvictsInFinishOrder(t *testing.T) {
 func FuzzStoreDecode(f *testing.F) {
 	j := &job{
 		id:      "job-1",
+		inst:    &instance{}, // not encoded: the seed record carries no instance
 		state:   StateDone,
 		engines: []string{"astar"},
 		config:  JobConfig{MaxExpanded: 100, HFunc: "plus"},

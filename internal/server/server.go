@@ -11,8 +11,10 @@
 // access) and evicts the oldest terminal job when full. Cancelling a job —
 // or shutting the server down — fires the job contexts, and because every
 // registry engine polls its budget once per expansion, workers come back
-// within one expansion. Repeated submissions of the same instance hit the
-// pool's model memoization.
+// within one expansion. A repeated submission is admitted from a memo of
+// its exact instance bytes (admit.go), answered from the content-addressed
+// schedule cache when an identical question was solved before, and
+// otherwise still hits the pool's model memoization.
 //
 // Endpoints (see docs/API.md for request/response examples):
 //
@@ -101,11 +103,17 @@ type Config struct {
 // live progress, into which the coordinator folds a remote worker's
 // reported counters and gauges, and which a local solve feeds directly).
 type DispatchJob struct {
-	ID       string
-	Graph    *taskgraph.Graph
-	System   *procgraph.System
-	Engines  []string
-	Config   JobConfig
+	ID      string
+	Graph   *taskgraph.Graph
+	System  *procgraph.System
+	Engines []string
+	Config  JobConfig
+	// Encode returns the instance's canonical JSON for a cluster lease. It
+	// marshals once per instance and keeps the bytes, which the
+	// file-backed store already made at admission for its WAL, so every
+	// lease of the instance ships the same bytes without a marshal. Set on
+	// every job the server dispatches; a local solve never calls it.
+	Encode   func() (graph, system json.RawMessage, err error)
 	Started  func()
 	Progress *solverpool.Progress
 	// TraceID travels with the lease so the remote worker's log records
@@ -164,7 +172,8 @@ type ClusterBackend interface {
 type Server struct {
 	pool       *solverpool.Pool
 	store      JobStore
-	cache      *solverpool.ResultCache // nil when disabled
+	admission  *admissionMemo
+	cache      *solverpool.ResultCache[JobResult] // nil when disabled
 	metrics    *metrics
 	mux        *http.ServeMux
 	sem        chan struct{}
@@ -209,7 +218,7 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
 	}
-	cache := solverpool.NewResultCache(cfg.CacheBytes)
+	cache := solverpool.NewResultCache[JobResult](cfg.CacheBytes)
 	var store JobStore
 	if cfg.StoreDir != "" {
 		fs, err := openFileStore(cfg.StoreDir, cfg.StoreCap, cfg.TTL, cache)
@@ -228,16 +237,17 @@ func Open(cfg Config) (*Server, error) {
 	}
 	pool := solverpool.New(cfg.Workers)
 	s := &Server{
-		pool:     pool,
-		store:    store,
-		cache:    cache,
-		metrics:  newMetrics(),
-		sem:      make(chan struct{}, pool.Workers()),
-		interval: cfg.StreamInterval,
-		sample:   cfg.SampleInterval,
-		backlog:  cfg.BacklogPerSlot,
-		log:      cfg.Logger,
-		slowJob:  cfg.SlowJob,
+		pool:      pool,
+		store:     store,
+		admission: newAdmissionMemo(),
+		cache:     cache,
+		metrics:   newMetrics(),
+		sem:       make(chan struct{}, pool.Workers()),
+		interval:  cfg.StreamInterval,
+		sample:    cfg.SampleInterval,
+		backlog:   cfg.BacklogPerSlot,
+		log:       cfg.Logger,
+		slowJob:   cfg.SlowJob,
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
@@ -397,7 +407,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad request body: %v", err)
 		return
 	}
-	g, sys, err := decodeInstance(&req)
+	inst, err := s.admission.admit(&req)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad instance: %v", err)
 		return
@@ -428,8 +438,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	jobCtx, cancel := context.WithCancel(s.baseCtx)
 	j := &job{
-		graph:    g,
-		system:   sys,
+		inst:     inst,
 		engines:  names,
 		config:   req.Config,
 		cancel:   cancel,
@@ -440,7 +449,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The key is computed at admission — the instance digest pair plus
 		// the configuration digest — whether or not this submission
 		// consults the cache: a bypassed solve still refreshes the memo.
-		j.cacheKey = cacheKey(g, sys, names, req.Config)
+		j.cacheKey = cacheKey(inst, names, req.Config)
 		j.cacheOK = true
 		j.cacheBypass = req.Cache == CacheBypass
 		if j.cacheBypass {
@@ -484,6 +493,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: id, State: StateQueued})
 }
 
+// cacheFill is a done result as the schedule cache memoizes it: the
+// terminal JobResult with its job ID cleared, charged its encoded size
+// against the cache's byte budget.
+type cacheFill struct {
+	result JobResult
+	size   int64
+}
+
 // finishJob records a job's outcome. An interrupted context means job
 // cancellation or server shutdown (budgets cut searches off internally,
 // without touching the context), so the terminal state must read
@@ -502,19 +519,24 @@ func (s *Server) finishJob(ctx context.Context, j *job, res *JobResult, errMessa
 		// nor an error must not read done.
 		errMessage = "solve ended without a result"
 	}
-	// The payload is marshaled here, outside the store lock, as the done
-	// result it becomes; the store keeps it only if the job settles done,
-	// and a result that fails to marshal is simply not cached. An answer
-	// served from the cache is already there, byte for byte. (The run
-	// goroutine wrote cacheNote itself, so this read needs no lock.)
-	var payload []byte
+	// The cache fill is built here, outside the store lock, as the done
+	// result it becomes, and charged its encoded size; the store keeps it
+	// only if the job settles done, and a result that fails to marshal is
+	// simply not cached. An answer served from the cache is already there.
+	// (The run goroutine wrote cacheNote itself, so this read needs no
+	// lock.)
+	var fill *cacheFill
 	if res != nil && errMessage == "" && s.cache != nil && j.cacheOK && j.cacheNote != "hit" {
-		cp := *res
-		cp.ID = ""
-		cp.State = StateDone
-		payload, _ = json.Marshal(cp)
+		fill = &cacheFill{result: *res}
+		fill.result.ID = ""
+		fill.result.State = StateDone
+		if data, err := json.Marshal(fill.result); err == nil {
+			fill.size = int64(len(data))
+		} else {
+			fill = nil
+		}
 	}
-	final := s.store.finish(j, res, errMessage, payload)
+	final := s.store.finish(j, res, errMessage, fill)
 	if final == "" {
 		return // a racing finisher already recorded the outcome
 	}
@@ -574,26 +596,25 @@ func (s *Server) run(ctx context.Context, j *job, lease *LeaseRecord) {
 	defer j.cancel()
 	// The schedule cache answers first: an identical prior submission's
 	// result is returned without touching the cluster or the pool. The
-	// memoized payload is the finished job's wire result with the ID
-	// cleared, so refilling this job's ID yields a byte-identical answer.
-	// The job still transitions queued → running → done (markRunning also
-	// honors a cancel that beat us here), with zero progress counters —
-	// the observable proof that no search ran.
+	// memoized value is the finished job's wire result with the ID
+	// cleared; the hit is a shallow copy carrying this job's ID, whose
+	// schedule, stats and maps stay shared with the entry and are never
+	// written. The cache confirms the entry answered this very instance,
+	// not just its digests. The job still transitions queued → running →
+	// done (markRunning also honors a cancel that beat us here), with zero
+	// progress counters — the observable proof that no search ran.
 	if lease == nil && j.cacheOK && !j.cacheBypass {
 		lookup := j.trace.Start("cache", obs.OriginDaemon)
-		if data, ok := s.cache.Get(j.cacheKey); ok {
-			var res JobResult
-			if err := json.Unmarshal(data, &res); err == nil {
-				lookup.End("outcome", "hit")
-				res.ID = j.id
-				if s.store.markRunning(j) {
-					s.store.noteCache(j, "hit")
-					s.finishJob(ctx, j, &res, "")
-				} else {
-					s.finishJob(ctx, j, nil, "")
-				}
-				return
+		if res, ok := s.cache.Get(j.cacheKey, j.inst.graph, j.inst.system); ok {
+			lookup.End("outcome", "hit")
+			res.ID = j.id
+			if s.store.markRunning(j) {
+				s.store.noteCache(j, "hit")
+				s.finishJob(ctx, j, &res, "")
+			} else {
+				s.finishJob(ctx, j, nil, "")
 			}
+			return
 		}
 		lookup.End("outcome", "miss")
 	}
@@ -608,10 +629,11 @@ func (s *Server) run(ctx context.Context, j *job, lease *LeaseRecord) {
 	defer stopSampler()
 	job := DispatchJob{
 		ID:       j.id,
-		Graph:    j.graph,
-		System:   j.system,
+		Graph:    j.inst.graph,
+		System:   j.inst.system,
 		Engines:  j.engines,
 		Config:   j.config,
+		Encode:   j.inst.encode,
 		Started:  func() { s.store.markRunning(j) },
 		Progress: j.progress,
 		TraceID:  j.trace.TraceID(),
@@ -697,7 +719,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("format") == "gantt" {
-		sched, err := res.Schedule.ToSchedule(j.graph, j.system)
+		sched, err := res.Schedule.ToSchedule(j.inst.graph, j.inst.system)
 		if err != nil {
 			WriteJobError(w, http.StatusInternalServerError, ErrCodeInternal, j.id, "%v", err)
 			return

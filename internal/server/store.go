@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,9 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/procgraph"
 	"repro/internal/solverpool"
-	"repro/internal/taskgraph"
 )
 
 // Job states. A job is terminal in StateDone, StateFailed, or
@@ -29,17 +26,14 @@ const (
 // mutable fields are guarded by the owning store's mutex; progress is
 // internally atomic so the running search never takes the store lock.
 type job struct {
-	id      string
-	graph   *taskgraph.Graph
-	system  *procgraph.System
+	id string
+	// inst is the job's instance, shared with every job that submitted the
+	// same instance bytes (admit.go). The file-backed store encodes it at
+	// admission, so every persisted record (and a restart's recovery)
+	// carries the instance verbatim.
+	inst    *instance
 	engines []string
 	config  JobConfig // the submitter's wire budget, re-serialized for cluster leases
-
-	// rawGraph/rawSystem are the canonical JSON forms of the instance, set
-	// by the file-backed store at admission so every persisted record (and
-	// a restart's recovery) carries the instance verbatim.
-	rawGraph  json.RawMessage
-	rawSystem json.RawMessage
 
 	// cacheKey addresses this submission in the schedule cache; cacheOK
 	// marks the key valid (cache enabled), cacheBypass that the submitter
@@ -101,9 +95,9 @@ type JobStore interface {
 	// markRunning transitions queued → running (idempotently).
 	markRunning(j *job) bool
 	// finish moves a job to its terminal state and returns that state, or
-	// "" when the job was already terminal; a done job's cache payload, when
+	// "" when the job was already terminal; a done job's cache fill, when
 	// non-nil, enters the schedule cache first.
-	finish(j *job, result *JobResult, errMessage string, payload []byte) string
+	finish(j *job, result *JobResult, errMessage string, fill *cacheFill) string
 	// noteInterrupted flags the job as cancelled without firing its context.
 	noteInterrupted(j *job)
 	// requestCancel flags the job as cancelled and fires its context.
@@ -161,10 +155,10 @@ type memStore struct {
 	// the WAL ordered exactly like the in-memory history.
 	sink func(op storeOp, j *job)
 	// cache is the schedule cache finish fills (nil when disabled).
-	cache *solverpool.ResultCache
+	cache *solverpool.ResultCache[JobResult]
 }
 
-func newStore(cap int, ttl time.Duration, cache *solverpool.ResultCache) *memStore {
+func newStore(cap int, ttl time.Duration, cache *solverpool.ResultCache[JobResult]) *memStore {
 	return &memStore{jobs: map[string]*job{}, cap: cap, ttl: ttl, now: time.Now, cache: cache}
 }
 
@@ -393,7 +387,7 @@ func (st *memStore) markRunning(j *job) bool {
 // interrupted engine still returned (the result is kept — a cancelled
 // search hands back its best incumbent).
 //
-// payload, when non-nil, is the result as the schedule cache memoizes it.
+// fill, when non-nil, is the result as the schedule cache memoizes it.
 // A job that settles done stores it under its cache key, and every job
 // records its persist span (the terminal store write — the WAL append,
 // when the store is file-backed — and the cache fill), both before the
@@ -401,7 +395,7 @@ func (st *memStore) markRunning(j *job) bool {
 // state (status, /events, the result, the trace) takes this lock or waits
 // on j.done, so it also sees the cache entry and the span: a client that
 // sees done and resubmits is a cache hit.
-func (st *memStore) finish(j *job, result *JobResult, errMessage string, payload []byte) string {
+func (st *memStore) finish(j *job, result *JobResult, errMessage string, fill *cacheFill) string {
 	start := st.now()
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -425,8 +419,8 @@ func (st *memStore) finish(j *job, result *JobResult, errMessage string, payload
 	st.nActive--
 	st.byFinish.push(j)
 	st.persistLocked(opPut, j)
-	if j.state == StateDone && payload != nil {
-		st.cache.Put(j.cacheKey, payload)
+	if j.state == StateDone && fill != nil {
+		st.cache.Put(j.cacheKey, j.inst.graph, j.inst.system, fill.result, fill.size)
 	}
 	if j.trace != nil {
 		j.trace.RecordTimed("persist", obs.OriginDaemon, start, st.now(), "state", j.state)

@@ -45,6 +45,18 @@ type Graph struct {
 	topo    []int32
 }
 
+// Footprint estimates the bytes the graph keeps resident: its name and
+// labels, each node's weight, topological position and adjacency headers,
+// and each edge in both adjacency lists. Holders of many graphs (the
+// daemon's schedule cache and admission memo) budget their memory with it.
+func (g *Graph) Footprint() int64 {
+	n := int64(len(g.name)) + int64(len(g.weights))*(4+4+2*24) + int64(g.edges)*2*8
+	for _, l := range g.labels {
+		n += 16 + int64(len(l))
+	}
+	return n
+}
+
 // Name returns the graph's name (may be empty).
 func (g *Graph) Name() string { return g.name }
 
