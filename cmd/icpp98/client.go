@@ -223,9 +223,7 @@ func (c *client) printResult(id, format string) {
 	}
 	var res server.JobResult
 	c.do(http.MethodGet, "/v1/jobs/"+id+"/result", nil, &res)
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(res)
+	printJSON(res)
 }
 
 func (c *client) status(args []string) {

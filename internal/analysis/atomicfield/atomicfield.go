@@ -3,7 +3,7 @@
 // every other access to that field must be atomic too. A single plain
 // read racing an atomic write is still a data race — and the kind the
 // race detector only catches when the interleaving happens to occur.
-// The repo's own convention (solverpool.Progress, the native solver's
+// The repo's own convention (core.Progress, the native solver's
 // incumbent bound) is atomic.Int64/Uint64 wrapper types, which make
 // non-atomic access unrepresentable; this analyzer guards the remaining
 // raw-field pattern and any future backsliding.

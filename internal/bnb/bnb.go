@@ -56,8 +56,8 @@ func Solve(g *taskgraph.Graph, sys *procgraph.System, opt core.Options) (*core.R
 
 // SolveModel is Solve for a prebuilt model (the engine reads only the
 // model's graph and system; its cost function is deliberately its own).
-// Of opt it reads only Stop: the baseline applies none of the §3.2
-// prunings, keeps its own bound, and runs exact. A search cut off before
+// Of opt it reads only Stop and Progress: the baseline applies none of the
+// §3.2 prunings, keeps its own bound, and runs exact. A search cut off before
 // its first complete schedule returns the list-scheduling fallback.
 func SolveModel(m *core.Model, opt core.Options) (*core.Result, error) {
 	g, sys := m.G, m.Sys
@@ -101,6 +101,20 @@ func SolveModel(m *core.Model, opt core.Options) (*core.Result, error) {
 		open.Push(c)
 	}
 
+	// publish hands the Stats to the Progress, if any: the baseline's f is
+	// no lower bound (see expand), so it reports no frontier.
+	meter := opt.Progress.Meter()
+	publish := func() {
+		if meter == nil {
+			return
+		}
+		var inc int32
+		if goalBest != nil {
+			inc = goalBest.f
+		}
+		meter.Publish(&e.stats, open.Len(), inc, 0)
+	}
+
 	root := &state{node: -1, proc: -1}
 	e.expand(root, goalBest, emit)
 	proved := true
@@ -112,6 +126,7 @@ func SolveModel(m *core.Model, opt core.Options) (*core.Result, error) {
 		if goalBest != nil && s.f >= goalBest.f {
 			break
 		}
+		publish()
 		if opt.Stop != nil && opt.Stop(e.stats.Expanded) {
 			proved = false
 			break
@@ -119,6 +134,7 @@ func SolveModel(m *core.Model, opt core.Options) (*core.Result, error) {
 		open.Pop()
 		e.expand(s, goalBest, emit)
 	}
+	publish()
 
 	var best *schedule.Schedule
 	if goalBest != nil {

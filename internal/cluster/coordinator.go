@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -168,13 +169,10 @@ type task struct {
 	leaseExpiry time.Time
 	started     bool
 	reasons     []string // failure reason of each abandoned/expired attempt
-	// base* accumulate the progress of completed attempts; last* hold the
-	// current attempt's running totals (folded into base on re-queue).
-	baseExp, baseGen int64
-	lastExp, lastGen int64
-	basePE, basePF   int64 // pruning counters, same fold discipline
-	lastPE, lastPF   int64
-	resolved         bool
+	// base accumulates the counters of completed attempts; last holds the
+	// current attempt's reported totals (folded into base on re-queue).
+	base, last core.ProgressSnapshot
+	resolved   bool
 	// local marks a task taken by a local slot: it is neither pending nor
 	// leased, and only its solve resolves it.
 	local bool
@@ -484,12 +482,8 @@ func (c *Coordinator) requeueLocked(t *task, reason string, budgeted bool) {
 	}
 	t.worker = ""
 	t.leaseExpiry = time.Time{}
-	t.baseExp += t.lastExp
-	t.baseGen += t.lastGen
-	t.lastExp, t.lastGen = 0, 0
-	t.basePE += t.lastPE
-	t.basePF += t.lastPF
-	t.lastPE, t.lastPF = 0, 0
+	t.base = t.base.AddCounters(t.last)
+	t.last = core.ProgressSnapshot{}
 	t.reasons = append(t.reasons, reason)
 	if budgeted {
 		t.failures++
@@ -1089,17 +1083,13 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 // replay in resumeLocked.
 func (c *Coordinator) ingestReportLocked(t *task, ws *workerState, req *ReportRequest) {
 	t.leaseExpiry = time.Now().Add(c.cfg.LeaseTTL)
-	t.lastExp, t.lastGen = req.Expanded, req.Generated
-	t.lastPE, t.lastPF = req.PrunedEquiv, req.PrunedFTO
+	t.last = req.ProgressSnapshot
 	// The progress fold happens under the mutex, atomically with the
 	// lease-holder check in the caller: a stale report racing a failover
 	// must not rewind the counters after the survivor reported larger
-	// totals.
-	t.job.Progress.Record(t.baseExp+req.Expanded, t.baseGen+req.Generated)
-	t.job.Progress.RecordPruned(t.basePE+req.PrunedEquiv, t.basePF+req.PrunedFTO)
-	// Gauges are instantaneous, not cumulative: the current attempt's view
-	// simply overwrites the job's — no base+last fold.
-	t.job.Progress.RecordGauges(req.Incumbent, req.BestF, req.OpenLen)
+	// totals. Gauges are instantaneous, not cumulative: the current
+	// attempt's view simply overwrites the job's.
+	t.job.Progress.Record(t.last.AddCounters(t.base))
 	// Worker-side spans arrive on terminal reports; fold them into the
 	// job's trace so the remote attempt's timeline reads alongside the
 	// coordinator's own lease spans.

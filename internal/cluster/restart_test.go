@@ -557,8 +557,7 @@ func TestAdoptionGraceExpiryDoesNotChargeBudget(t *testing.T) {
 // TestLeaseCarriesAdmissionBytes: with a file-backed store the lease
 // ships the instance bytes the store encoded for its WAL at admission,
 // not a second encoding; the leased graph and system equal the WAL
-// record's byte for byte (modulo the response's indentation) and decode
-// to the submitted instance.
+// record's byte for byte and decode to the submitted instance.
 func TestLeaseCarriesAdmissionBytes(t *testing.T) {
 	dir := t.TempDir()
 	srv, coord, _ := openIncarnation(t, dir, restartTimings())
@@ -620,12 +619,8 @@ func TestLeaseCarriesAdmissionBytes(t *testing.T) {
 		name        string
 		leased, wal json.RawMessage
 	}{{"graph", lease.Job.Graph, walGraph}, {"system", lease.Job.System, walSystem}} {
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, c.leased); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(compact.Bytes(), c.wal) {
-			t.Fatalf("leased %s differs from the WAL record's:\nlease: %s\nwal:   %s", c.name, compact.Bytes(), c.wal)
+		if !bytes.Equal(c.leased, c.wal) {
+			t.Fatalf("leased %s differs from the WAL record's:\nlease: %s\nwal:   %s", c.name, c.leased, c.wal)
 		}
 	}
 	g, err := taskgraph.FromJSON(lease.Job.Graph)

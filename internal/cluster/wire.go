@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -152,21 +153,13 @@ type ReportRequest struct {
 	// RegisterRequest.ProtocolVersion.
 	ProtocolVersion int    `json:"protocol_version"`
 	WorkerID        string `json:"worker_id"`
-	// Expanded/Generated are the absolute totals of this attempt; the
-	// coordinator folds them into the job's live progress on top of the
-	// counts earlier attempts accumulated. PrunedEquiv/PrunedFTO carry the
-	// pruning counters the same way.
-	Expanded    int64 `json:"expanded"`
-	Generated   int64 `json:"generated"`
-	PrunedEquiv int64 `json:"pruned_equiv,omitempty"`
-	PrunedFTO   int64 `json:"pruned_fto,omitempty"`
-	// Incumbent/BestF/OpenLen are the attempt's convergence gauges — the
-	// incumbent upper bound, the max frontier f, and the live OPEN
-	// population — folded into the job's progress like the counters, so
-	// the daemon's telemetry sampler sees a remote search converge too.
-	Incumbent int32 `json:"incumbent,omitempty"`
-	BestF     int32 `json:"best_f,omitempty"`
-	OpenLen   int64 `json:"open_len,omitempty"`
+	// ProgressSnapshot is the attempt's progress: its counters are the
+	// absolute totals of this attempt, which the coordinator folds into
+	// the job's live progress on top of the counts earlier attempts
+	// accumulated; its gauges (incumbent, best_f, open_len) replace the
+	// job's, so the daemon's telemetry sampler sees a remote search
+	// converge too.
+	core.ProgressSnapshot
 
 	Done    bool              `json:"done,omitempty"`
 	Result  *server.JobResult `json:"result,omitempty"`

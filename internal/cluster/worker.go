@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/procgraph"
@@ -458,7 +459,7 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 	// observed them.
 	rec := obs.NewRecorder(lease.TraceID)
 	origin := obs.OriginWorker + ":" + w.name
-	progress := &solverpool.Progress{}
+	progress := &core.Progress{}
 	decode := rec.Start("decode", origin)
 	g, err := taskgraph.FromJSON(lease.Graph)
 	if err != nil {
@@ -496,16 +497,10 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 				return
 			case <-ticker.C:
 			}
-			exp, gen := progress.Snapshot()
-			pe, pf := progress.SnapshotPruned()
-			inc, bestF, open := progress.Gauges()
 			wid := h.currentWorkerID()
 			var ack ReportResponse
 			err := w.post(jobCtx, "/v1/workers/jobs/"+lease.ID+"/report",
-				ReportRequest{ProtocolVersion: ProtocolVersion,
-					WorkerID: wid, Expanded: exp, Generated: gen,
-					PrunedEquiv: pe, PrunedFTO: pf,
-					Incumbent: inc, BestF: bestF, OpenLen: open}, &ack)
+				attemptReport(wid, progress, nil), &ack)
 			switch {
 			case (err == nil && ack.Cancel) || statusCode(err) == http.StatusGone:
 				// The lease is gone (cancelled or re-queued elsewhere).
@@ -563,14 +558,11 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 // coordinator's lease expiry re-queue the job.
 const terminalReportTimeout = 10 * time.Second
 
-// terminalReport assembles the final totals of an attempt — counters,
-// gauges, and (for Done reports) the attempt's spans — from its live
+// attemptReport assembles an attempt's running totals — counters, gauges,
+// and (for Done reports, rec non-nil) the attempt's spans — from its live
 // progress and recorder.
-func terminalReport(workerID string, prog *solverpool.Progress, rec *obs.Recorder) ReportRequest {
-	req := ReportRequest{ProtocolVersion: ProtocolVersion, WorkerID: workerID}
-	req.Expanded, req.Generated = prog.Snapshot()
-	req.PrunedEquiv, req.PrunedFTO = prog.SnapshotPruned()
-	req.Incumbent, req.BestF, req.OpenLen = prog.Gauges()
+func attemptReport(workerID string, prog *core.Progress, rec *obs.Recorder) ReportRequest {
+	req := ReportRequest{ProtocolVersion: ProtocolVersion, WorkerID: workerID, ProgressSnapshot: prog.Snapshot()}
 	if rec != nil {
 		req.Spans, _ = rec.Snapshot()
 	}
@@ -582,11 +574,11 @@ func terminalReport(workerID string, prog *solverpool.Progress, rec *obs.Recorde
 // A 404 right as the solve ends usually means the coordinator restarted:
 // re-register presenting the held leases, and if this lease is adopted,
 // deliver the outcome once more under the fresh identity.
-func (w *Worker) finishJob(h *heldLease, prog *solverpool.Progress, rec *obs.Recorder, res *server.JobResult, errMessage string) {
+func (w *Worker) finishJob(h *heldLease, prog *core.Progress, rec *obs.Recorder, res *server.JobResult, errMessage string) {
 	ctx, cancel := context.WithTimeout(context.Background(), terminalReportTimeout)
 	defer cancel()
 	for attempt := 0; ; attempt++ {
-		req := terminalReport(h.currentWorkerID(), prog, rec)
+		req := attemptReport(h.currentWorkerID(), prog, rec)
 		req.Done, req.Result, req.Error = true, res, errMessage
 		err := w.post(ctx, "/v1/workers/jobs/"+h.jobID+"/report", req, nil)
 		if err == nil || statusCode(err) == http.StatusGone {
@@ -606,10 +598,10 @@ func (w *Worker) finishJob(h *heldLease, prog *solverpool.Progress, rec *obs.Rec
 // abandonJob hands a job back to the coordinator for re-leasing. No spans
 // ride an Abandon: the attempt did not conclude, and the next lease's
 // worker will record its own.
-func (w *Worker) abandonJob(h *heldLease, prog *solverpool.Progress) {
+func (w *Worker) abandonJob(h *heldLease, prog *core.Progress) {
 	ctx, cancel := context.WithTimeout(context.Background(), terminalReportTimeout)
 	defer cancel()
-	req := terminalReport(h.currentWorkerID(), prog, nil)
+	req := attemptReport(h.currentWorkerID(), prog, nil)
 	req.Abandon = true
 	err := w.post(ctx, "/v1/workers/jobs/"+h.jobID+"/report", req, nil)
 	if err != nil && statusCode(err) != http.StatusGone {

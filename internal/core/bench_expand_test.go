@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/obs"
 	"repro/internal/procgraph"
 )
 
@@ -107,54 +104,4 @@ func steadyState(tb testing.TB, procs int, opt Options) (*Expander, *Visited, []
 		tb.Fatal("no states to expand")
 	}
 	return exp, visited, pool
-}
-
-// atomicTracer is the shape of solverpool.Progress without the import (the
-// real type would cycle: solverpool imports core): pure atomic counters
-// behind the Tracer, PruneTracer, and BoundTracer hooks, readable from
-// outside as an obs.Source.
-type atomicTracer struct {
-	expanded, generated, prunedEquiv, prunedFTO, openLen atomic.Int64
-	incumbent, bestF                                     atomic.Int32
-}
-
-func (t *atomicTracer) Expanded(*State)       { t.expanded.Add(1) }
-func (t *atomicTracer) Generated(_, _ *State) { t.generated.Add(1) }
-func (t *atomicTracer) Pruned(equiv, fto int64) {
-	t.prunedEquiv.Add(equiv)
-	t.prunedFTO.Add(fto)
-}
-func (t *atomicTracer) Incumbent(bound int32) { t.incumbent.Store(bound) }
-func (t *atomicTracer) OpenDelta(d int64)     { t.openLen.Add(d) }
-func (t *atomicTracer) Frontier(f int32) {
-	for {
-		cur := t.bestF.Load()
-		if f <= cur || t.bestF.CompareAndSwap(cur, f) {
-			return
-		}
-	}
-}
-func (t *atomicTracer) Counters() (int64, int64, int64, int64) {
-	return t.expanded.Load(), t.generated.Load(), t.prunedEquiv.Load(), t.prunedFTO.Load()
-}
-func (t *atomicTracer) Gauges() (int32, int32, int64) {
-	return t.incumbent.Load(), t.bestF.Load(), t.openLen.Load()
-}
-
-// BenchmarkExpandSteadyStateTelemetry is BenchmarkExpandSteadyState with
-// the full telemetry stack enabled: an atomic counting tracer attached to
-// the expander and a live obs sampler reading it at the default interval
-// from another goroutine. It must still report 0 allocs/op — telemetry's
-// whole design is that the hot path only ever touches atomics.
-func BenchmarkExpandSteadyStateTelemetry(b *testing.B) {
-	tracer := &atomicTracer{}
-	exp, visited, pool := steadyState(b, 4, Options{Tracer: tracer})
-	stop := obs.StartSampler(context.Background(), tracer, obs.DefaultSampleInterval, obs.NewRing(0))
-	defer stop()
-	discard := func(*State) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exp.Expand(pool[i%len(pool)], visited, discard)
-	}
 }

@@ -106,11 +106,12 @@ func HFuncByName(name string) (HFunc, bool) {
 	return h, ok
 }
 
-// Tracer observes the search as it runs. Implementations must be cheap:
-// the engine calls Expanded once per state expansion and Generated once per
-// emitted (non-pruned, non-duplicate) child — the same set of states the
-// paper's search-tree figures draw. The trace package builds Figure 3/5
-// renderings from these events.
+// Tracer records the search tree as it runs: the engine calls Expanded
+// once per state expansion and Generated once per emitted (non-pruned,
+// non-duplicate) child — the same set of states the paper's search-tree
+// figures draw. The trace package's Recorder implements it to render
+// Figures 3 and 5. Search effort is not counted here: Stats counts it, and
+// a Progress publishes it live.
 //
 // A *State a Tracer receives is valid until the solve returns. States live
 // in the solve's arena, which SolveModel hands to a later solve, so a
@@ -122,38 +123,6 @@ type Tracer interface {
 	// Generated is called when child (created by expanding parent) is
 	// emitted into the search.
 	Generated(parent, child *State)
-}
-
-// PruneTracer is optionally implemented by a Tracer to observe pruning
-// effectiveness live: the expander reports the equivalent-task and
-// fixed-task-order prune deltas once per expansion (not per pruned node),
-// so implementations pay two atomic adds per expansion at most. The
-// solverpool Progress counter implements it to surface pruning counters on
-// the job API's status payload while a search runs.
-type PruneTracer interface {
-	// Pruned reports how many ready nodes this expansion skipped via the
-	// equivalent-task pruning and the FTO collapse respectively.
-	Pruned(equiv, fto int64)
-}
-
-// BoundTracer is optionally implemented by a Tracer to observe the
-// search's convergence live: the incumbent upper bound (the best complete
-// schedule in hand) and the OPEN-list population. Unlike the expansion
-// counters these fire rarely — Incumbent only when the bound improves,
-// OpenDelta once per push/pop — so an atomic-store implementation adds
-// nothing measurable to the hot path. The solverpool Progress gauge
-// implements it to feed the sampled telemetry time-series.
-type BoundTracer interface {
-	// Incumbent reports a new (improved) upper bound on the schedule
-	// length, including the initial list-scheduling bound U.
-	Incumbent(bound int32)
-	// OpenDelta reports a change in the live OPEN-list population:
-	// +1 on push, -1 on pop, or a batch adjustment.
-	OpenDelta(delta int64)
-	// Frontier reports the f value of a state taken for expansion — with
-	// an admissible h this is a proven lower bound on the optimum, so the
-	// max seen is the search's convergence floor.
-	Frontier(f int32)
 }
 
 // Options configures a solve.
@@ -175,8 +144,11 @@ type Options struct {
 	// context/deadline/expansion-cap Budget of internal/engine — engines
 	// carry no private cutoff plumbing of their own.
 	Stop func(expanded int64) bool
-	// Tracer, when non-nil, receives search events (see Tracer).
+	// Tracer, when non-nil, records the search tree (see Tracer).
 	Tracer Tracer
+	// Progress, when non-nil, receives the search's Stats and gauges live
+	// (see Progress); every engine publishes into it.
+	Progress *Progress
 }
 
 // Stats counts search effort; every engine fills one.
@@ -246,21 +218,20 @@ type Expander struct {
 
 	Stats *Stats
 
-	arena       *Arena
-	pruneTracer PruneTracer // Tracer's optional prune hook, asserted once
-	procOf      []int32     // scratch: per node, assigned PE or -1
-	finishOf    []int32
-	sched       []int32 // scratch: the scheduled nodes of the loaded state
-	rt          []int32 // scratch: per PE ready time (Definition 1)
-	cnt         []int32 // scratch: per PE number of assigned nodes
-	eqSeen      []bool  // scratch: equivalence classes already branched
-	isoSeen     []bool  // scratch: interchangeability classes with an empty representative
-	targets     []int32 // scratch: PEs surviving the isomorphism filter, ascending
-	ready       []int32 // scratch: ready nodes surviving the task prunings, branch order
-	arrival     []int32 // scratch, V×P (at most 1 MiB): ready[i]'s data-arrival times, see arrivalRow
-	ftoN        []int32 // scratch: indexes into ready, sorted by the FTO dominance order
-	ftoDRT      []int32 // scratch: their data-ready times (remote arrival)
-	ftoOut      []int32 // scratch: their out-edge comm costs
+	arena    *Arena
+	procOf   []int32 // scratch: per node, assigned PE or -1
+	finishOf []int32
+	sched    []int32 // scratch: the scheduled nodes of the loaded state
+	rt       []int32 // scratch: per PE ready time (Definition 1)
+	cnt      []int32 // scratch: per PE number of assigned nodes
+	eqSeen   []bool  // scratch: equivalence classes already branched
+	isoSeen  []bool  // scratch: interchangeability classes with an empty representative
+	targets  []int32 // scratch: PEs surviving the isomorphism filter, ascending
+	ready    []int32 // scratch: ready nodes surviving the task prunings, branch order
+	arrival  []int32 // scratch, V×P (at most 1 MiB): ready[i]'s data-arrival times, see arrivalRow
+	ftoN     []int32 // scratch: indexes into ready, sorted by the FTO dominance order
+	ftoDRT   []int32 // scratch: their data-ready times (remote arrival)
+	ftoOut   []int32 // scratch: their out-edge comm costs
 
 	// HLoad per-state scratch: committed PE-timeline sum and remaining
 	// minimum work (load-balance bound), plus the largest comm-aware
@@ -282,7 +253,7 @@ func (m *Model) NewExpander(opt Options, stats *Stats) *Expander {
 
 // newExpander returns an expander that allocates its states from arena.
 func (m *Model) newExpander(opt Options, stats *Stats, arena *Arena) *Expander {
-	e := &Expander{
+	return &Expander{
 		M:        m,
 		Disable:  opt.Disable,
 		HFunc:    opt.HFunc,
@@ -303,8 +274,6 @@ func (m *Model) newExpander(opt Options, stats *Stats, arena *Arena) *Expander {
 		ftoDRT:   make([]int32, 0, m.V),
 		ftoOut:   make([]int32, 0, m.V),
 	}
-	e.pruneTracer, _ = opt.Tracer.(PruneTracer)
-	return e
 }
 
 // Arena returns the expander's state arena. The depth-first engines use its
@@ -382,10 +351,6 @@ func (e *Expander) Expand(s *State, visited *Visited, emit func(*State)) int {
 	}
 	for i := range e.eqSeen {
 		e.eqSeen[i] = false
-	}
-	var prunedEquiv0, prunedFTO0 int64
-	if e.Stats != nil {
-		prunedEquiv0, prunedFTO0 = e.Stats.PrunedEquiv, e.Stats.PrunedFTO
 	}
 
 	// Collect the ready nodes that survive the task-axis prunings, in
@@ -479,29 +444,27 @@ func (e *Expander) Expand(s *State, visited *Visited, emit func(*State)) int {
 	for i, n := range e.ready {
 		emitted += e.expandNode(s, n, e.arrivalRow(i), visited, emit)
 	}
-	if e.pruneTracer != nil && e.Stats != nil {
-		if de, df := e.Stats.PrunedEquiv-prunedEquiv0, e.Stats.PrunedFTO-prunedFTO0; de != 0 || df != 0 {
-			e.pruneTracer.Pruned(de, df)
-		}
-	}
 	return emitted
 }
 
 // ftoFirst checks the fixed-task-order condition on the surviving ready set
 // and, when it holds, returns the index in e.ready of the single node the
 // whole set collapses to: every ready node has at most one parent and one
-// child, all present children coincide, and sorting by (data-ready time
-// ascending, out-edge cost descending) yields non-increasing out-edge
-// costs — in which case an optimal schedule starts the ready nodes in
-// exactly that order (arXiv 2405.15371), so branching any other node first
-// is redundant. Data-ready time is the remote arrival finish(parent) +
-// c(edge), which is PE-independent on the classic systems ftoEligible
-// admits.
+// child, all present children coincide, all present parents sit on one PE,
+// and sorting by (data-ready time ascending, out-edge cost descending)
+// yields non-increasing out-edge costs — in which case an optimal schedule
+// starts the ready nodes in exactly that order (arXiv 2405.15371), so
+// branching any other node first is redundant. Data-ready time is the
+// remote arrival finish(parent) + c(edge), which is PE-independent on the
+// classic systems ftoEligible admits; on the parents' own PE every ready
+// node is ready at once, since that PE is busy until its last parent
+// ends. Parents on two PEs would break this: a node may start on its own
+// parent's PE before data reaches it anywhere else.
 //
 //icpp98:hotpath
 func (e *Expander) ftoFirst() (int32, bool) {
 	m := e.M
-	sharedChild := int32(-1)
+	sharedChild, parentPE := int32(-1), int32(-1)
 	for _, n := range e.ready {
 		if !m.ftoOK[n] {
 			return 0, false
@@ -510,6 +473,13 @@ func (e *Expander) ftoFirst() (int32, bool) {
 			if sharedChild < 0 {
 				sharedChild = c
 			} else if sharedChild != c {
+				return 0, false
+			}
+		}
+		if p := m.ftoParent[n]; p >= 0 {
+			if parentPE < 0 {
+				parentPE = e.procOf[p]
+			} else if parentPE != e.procOf[p] {
 				return 0, false
 			}
 		}

@@ -6,3 +6,7 @@ const (
 	VisitedMinSize = visitedMinSize
 	ArenaSlabSize  = arenaSlabSize
 )
+
+// SteadyState is steadyState, for the telemetry benchmark (an external
+// test: obs imports core).
+var SteadyState = steadyState

@@ -154,6 +154,17 @@ func TestFTOCollapsePreservesOptimum(t *testing.T) {
 		bld.AddEdge(src, sink, int32(9-i))
 	}
 	insts = append(insts, inst{bld.MustBuild(), procgraph.Complete(3)})
+	// Ready tasks whose parents sit on different PEs: each can start on its
+	// parent's PE without waiting for communication, so ordering them by
+	// remote data-ready time (n2 before n5) loses the optimum 7, which
+	// starts n5 first, locally after n3. The collapse must not fire here.
+	split := taskgraph.NewBuilder("split-parents")
+	for _, w := range []int32{2, 7, 1, 4, 5, 2} {
+		split.AddNode(w)
+	}
+	split.AddEdge(3, 5, 2)
+	split.AddEdge(4, 2, 0)
+	insts = append(insts, inst{split.MustBuild(), procgraph.Complete(3)})
 
 	sawCollapse := false
 	for _, in := range insts {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -51,11 +52,6 @@ func SolveModel(m *Model, opt Options) (*Result, error) {
 	exp := m.newExpander(opt, &stats, arena)
 	exp.UB = ub
 
-	boundTracer, _ := opt.Tracer.(BoundTracer)
-	if boundTracer != nil && ub > 0 {
-		boundTracer.Incumbent(ub)
-	}
-
 	var goalBest *State
 	exp.Bound = func() int32 {
 		if goalBest == nil {
@@ -70,25 +66,22 @@ func SolveModel(m *Model, opt Options) (*Result, error) {
 		if c.Complete(m) {
 			if goalBest == nil || c.f < goalBest.f {
 				goalBest = c
-				if boundTracer != nil {
-					boundTracer.Incumbent(c.f)
-				}
 			}
 			return
 		}
 		open.Push(c)
-		if boundTracer != nil {
-			boundTracer.OpenDelta(1)
-		}
 	}
+	meter := opt.Progress.Meter()
 
 	exp.Expand(Root(), visited, emit)
 	proved := false
+	var fmin int32
 	for {
 		if open.Len() > stats.MaxOpen {
 			stats.MaxOpen = open.Len()
 		}
-		fmin, ok := open.MinF()
+		var ok bool
+		fmin, ok = open.MinF()
 		if !ok {
 			proved = true // search space exhausted: incumbent is optimal
 			break
@@ -97,15 +90,17 @@ func SolveModel(m *Model, opt Options) (*Result, error) {
 			proved = true
 			break
 		}
+		if meter != nil {
+			// fmin lower-bounds the optimum under A* and Aε* alike.
+			meter.Publish(&stats, open.Len(), cmp.Or(exp.Bound(), ub), fmin)
+		}
 		if opt.Stop != nil && opt.Stop(stats.Expanded) {
 			break
 		}
-		s := open.Pop()
-		if boundTracer != nil {
-			boundTracer.OpenDelta(-1)
-			boundTracer.Frontier(s.f)
-		}
-		exp.Expand(s, visited, emit)
+		exp.Expand(open.Pop(), visited, emit)
+	}
+	if meter != nil {
+		meter.Publish(&stats, open.Len(), cmp.Or(exp.Bound(), ub), fmin)
 	}
 	stats.VisitedSize = visited.Len()
 

@@ -39,7 +39,8 @@ import (
 // Options configures the depth-first engines: the shared search settings
 // plus the DFBB duplicate table. Epsilon is ignored (both engines are
 // exact), and so is Tracer: each DFS frame rewinds its arena on return,
-// which would corrupt a tracer that keeps the states it is handed.
+// which would corrupt a tracer that keeps the states it is handed. Progress
+// is fed at every cutoff poll.
 type Options struct {
 	core.Options
 	// UseVisited enables the full duplicate-state table (DFBB only):
@@ -99,6 +100,7 @@ type searcher struct {
 
 	stop    func(expanded int64) bool
 	stopped bool
+	meter   *core.Meter // nil without a Progress
 
 	children []*core.State // reusable collection buffer
 }
@@ -111,6 +113,7 @@ func newSearcher(m *core.Model, opt core.Options) (*searcher, *schedule.Schedule
 		threshold:    inf, // DFBB: no pass bound
 		nextThresh:   inf,
 		stop:         opt.Stop,
+		meter:        opt.Progress.Meter(),
 	}
 	ub, fallback, err := core.ResolveUpperBound(m, opt)
 	if err != nil {
@@ -134,16 +137,32 @@ func newSearcher(m *core.Model, opt core.Options) (*searcher, *schedule.Schedule
 	return d, fallback, nil
 }
 
-// cut reports whether the caller-supplied cutoff has fired (and latches it).
+// cut reports whether the caller-supplied cutoff has fired (and latches
+// it), publishing the search's progress first.
 func (d *searcher) cut() bool {
 	if d.stopped {
 		return true
 	}
+	d.publish()
 	if d.stop != nil && d.stop(d.stats.Expanded) {
 		d.stopped = true
 		return true
 	}
 	return false
+}
+
+// publish hands the Stats to the Progress, if any. The children awaiting
+// exploration on the DFS stack are the engine's OPEN; it has an incumbent
+// but no frontier, since a depth-first f is no lower bound.
+func (d *searcher) publish() {
+	if d.meter == nil {
+		return
+	}
+	inc := d.incumbentLen
+	if inc == inf {
+		inc = 0
+	}
+	d.meter.Publish(&d.stats, len(d.children), inc, 0)
 }
 
 // dfs explores the subtree under s depth-first, best-f-first, pruning
@@ -210,6 +229,7 @@ func (d *searcher) dfs(s *core.State, depth int) {
 // fallback optimal when the fallback realizes U, which it does unless the
 // caller overrode U with a smaller bound.
 func (d *searcher) result(fallback *schedule.Schedule, started time.Time) *core.Result {
+	d.publish()
 	best := d.incumbent
 	if best == nil && !d.stopped && fallback.Length <= d.stats.UpperBound {
 		best = fallback

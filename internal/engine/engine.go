@@ -83,12 +83,15 @@ type Config struct {
 	// cancellation use the Solve context instead.
 	Timeout time.Duration
 
-	// Tracer, when non-nil, receives expansion/generation events (serial
-	// engines only; the parallel engine uses TracerFor).
+	// Tracer, when non-nil, records the search tree (astar and aeps; the
+	// parallel and native engines use TracerFor).
 	Tracer core.Tracer
-	// TracerFor, when non-nil, supplies one tracer per PPE of the parallel
-	// engine.
+	// TracerFor, when non-nil, supplies one search-tree tracer per PPE of
+	// the parallel engine (per worker of the native engines).
 	TracerFor func(ppe int) core.Tracer
+	// Progress, when non-nil, receives the search's Stats and gauges live
+	// (all engines; see core.Progress).
+	Progress *core.Progress
 
 	// PPEs is the parallel engine's worker count (0 selects 4).
 	PPEs int

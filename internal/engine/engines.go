@@ -74,6 +74,7 @@ func searchOptions(ctx context.Context, cfg Config) core.Options {
 		HFunc:      cfg.HFunc,
 		UpperBound: cfg.UpperBound,
 		Tracer:     cfg.Tracer,
+		Progress:   cfg.Progress,
 		Stop:       cfg.stopFunc(ctx),
 	}
 }

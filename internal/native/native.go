@@ -47,6 +47,7 @@
 package native
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"sync"
@@ -58,10 +59,10 @@ import (
 )
 
 // Options configures a native solve: the shared search settings (every
-// worker polls Stop before each expansion with the machine-wide total)
-// plus the worker count and the per-worker tracers. The shared Tracer is
-// ignored: the workers run concurrently, so each gets its own from
-// TracerFor.
+// worker polls Stop before each expansion with the machine-wide total, and
+// publishes its own Stats into Progress there) plus the worker count and
+// the per-worker tracers. The shared Tracer is ignored: the workers run
+// concurrently, so each gets its own from TracerFor.
 type Options struct {
 	core.Options
 	// Workers is the number of search workers; < 1 selects GOMAXPROCS, and
@@ -104,7 +105,8 @@ type worker struct {
 	infl    atomic.Int32 // f floor of the in-flight expansion (noWork when none)
 	maxOpen int
 
-	bt core.BoundTracer // the worker tracer's optional gauge hook
+	meter   *core.Meter // nil without a Progress
+	openLen int         // open's size when the worker last took from it
 }
 
 // solver is the shared state of one native solve.
@@ -117,8 +119,6 @@ type solver struct {
 	bound    atomic.Int32 // incumbent f (0 = no incumbent yet)
 	incMu    sync.Mutex
 	incumbnt *core.State
-
-	bt core.BoundTracer // gauge hook for solver-wide events (incumbent)
 
 	expanded  atomic.Int64 // machine-wide expansions, the Stop cadence
 	idle      atomic.Int32 // workers currently idle
@@ -171,14 +171,8 @@ func newSolver(m *core.Model, opt Options) (*solver, *schedule.Schedule, error) 
 		if opt.TracerFor != nil {
 			w.exp.Tracer = opt.TracerFor(i)
 		}
-		w.bt, _ = w.exp.Tracer.(core.BoundTracer)
+		w.meter = opt.Progress.Meter()
 		sv.workers[i] = w
-	}
-	// Gauge the solver-wide events through worker 0's hook (every worker
-	// shares one aggregate tracer in practice — Progress.ForPPE).
-	sv.bt = sv.workers[0].bt
-	if sv.bt != nil && ub > 0 {
-		sv.bt.Incumbent(ub)
 	}
 	// Seed: the root state in worker 0's queue; everyone else steals their
 	// way into the frontier.
@@ -232,9 +226,6 @@ func (s *solver) offerIncumbent(c *core.State) {
 	if s.incumbnt == nil || c.F() < s.incumbnt.F() {
 		s.incumbnt = c
 		s.bound.Store(c.F())
-		if s.bt != nil {
-			s.bt.Incumbent(c.F())
-		}
 	}
 	s.incMu.Unlock()
 }
@@ -307,12 +298,6 @@ func (w *worker) takeLocked(thief *worker) *core.State {
 	thief.infl.Store(f)
 	st := w.open.Pop()
 	w.refreshQMin()
-	if thief.bt != nil {
-		thief.bt.OpenDelta(-1)
-		// The queue min is the admissible floor of whatever Pop returned,
-		// so it is the frontier value the convergence series wants.
-		thief.bt.Frontier(f)
-	}
 	return st
 }
 
@@ -325,9 +310,6 @@ func (w *worker) push(c *core.State) {
 	}
 	w.refreshQMin()
 	w.mu.Unlock()
-	if w.bt != nil {
-		w.bt.OpenDelta(1)
-	}
 }
 
 // emit receives every non-pruned child of w's current expansion: goals
@@ -359,6 +341,7 @@ func (w *worker) next() *core.State {
 		}
 		w.mu.Lock()
 		st := w.takeLocked(w)
+		w.openLen = w.open.Len()
 		w.mu.Unlock()
 		if st != nil {
 			return st
@@ -418,10 +401,29 @@ func (w *worker) steal() *core.State {
 	return nil
 }
 
+// publish hands the worker's Stats to the Progress with its own OPEN size,
+// the shared incumbent (U before the first) and the consensus lower bound.
+func (w *worker) publish() {
+	inc := cmp.Or(w.s.bound.Load(), w.exp.UB)
+	floor := w.s.globalLB()
+	if floor == noWork {
+		floor = 0
+	}
+	w.meter.Publish(&w.stats, w.openLen, inc, floor)
+}
+
 // run is the worker loop: take, prune against the shared bound, expand,
 // re-check the certificate.
 func (w *worker) run() {
 	s := w.s
+	if w.meter != nil {
+		defer func() {
+			w.mu.Lock()
+			w.openLen = w.open.Len()
+			w.mu.Unlock()
+			w.publish()
+		}()
+	}
 	for {
 		st := w.next()
 		if st == nil {
@@ -436,6 +438,9 @@ func (w *worker) run() {
 			w.infl.Store(noWork)
 			s.checkProof()
 			continue
+		}
+		if w.meter != nil {
+			w.publish()
 		}
 		if s.opt.Stop != nil && s.opt.Stop(s.expanded.Load()) {
 			w.infl.Store(noWork)

@@ -4,9 +4,10 @@ import (
 	"context"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestNewTraceID(t *testing.T) {
@@ -162,24 +163,11 @@ func TestRingSummary(t *testing.T) {
 	}
 }
 
-// fakeSource counts sampler reads.
-type fakeSource struct {
-	exp   atomic.Int64
-	reads atomic.Int64
-}
-
-func (f *fakeSource) Counters() (int64, int64, int64, int64) {
-	f.reads.Add(1)
-	return f.exp.Load(), 0, 0, 0
-}
-
-func (f *fakeSource) Gauges() (int32, int32, int64) { return 42, 40, 7 }
-
 func TestSampler(t *testing.T) {
-	src := &fakeSource{}
-	src.exp.Store(1000)
+	var src core.Progress
+	src.Record(core.ProgressSnapshot{Expanded: 1000, Incumbent: 42, BestF: 40, OpenLen: 7})
 	ring := NewRing(16)
-	stop := StartSampler(context.Background(), src, 5*time.Millisecond, ring)
+	stop := StartSampler(context.Background(), &src, 5*time.Millisecond, ring)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if _, total := ring.Snapshot(); total >= 3 {
@@ -190,7 +178,7 @@ func TestSampler(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	src.exp.Store(5000)
+	src.Record(core.ProgressSnapshot{Expanded: 5000, Incumbent: 42, BestF: 40, OpenLen: 7})
 	stop()
 	samples, total := ring.Snapshot()
 	if total < 4 {
@@ -210,19 +198,18 @@ func TestSampler(t *testing.T) {
 		}
 	}
 	// Appends after stop must not happen.
-	before := src.reads.Load()
 	time.Sleep(20 * time.Millisecond)
-	if src.reads.Load() != before {
-		t.Fatal("sampler still reading after stop")
+	if _, after := ring.Snapshot(); after != total {
+		t.Fatal("sampler still sampling after stop")
 	}
 }
 
 func TestSamplerShortJob(t *testing.T) {
 	// A job shorter than one interval still lands its final counters.
-	src := &fakeSource{}
-	src.exp.Store(123)
+	var src core.Progress
+	src.Record(core.ProgressSnapshot{Expanded: 123})
 	ring := NewRing(16)
-	stop := StartSampler(context.Background(), src, time.Hour, ring)
+	stop := StartSampler(context.Background(), &src, time.Hour, ring)
 	stop()
 	samples, total := ring.Snapshot()
 	if total != 1 || len(samples) != 1 || samples[0].Expanded != 123 {

@@ -12,7 +12,7 @@
 //
 // The design constraint throughout is "near-zero overhead on the search":
 // the expansion hot path never touches this package — engines publish
-// atomic counters (solverpool.Progress), and a sampler goroutine reads
+// atomic counters (core.Progress), and a sampler goroutine reads
 // them from outside on a ticker. Recording a span costs one mutex
 // acquisition per lifecycle stage, a handful per job.
 package obs

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"repro/internal/core"
 )
 
 // DefaultSampleInterval is the telemetry ticker cadence when the caller
@@ -21,8 +23,9 @@ const DefaultRingCap = 240
 
 // Sample is one instant of a running search: the cumulative counters the
 // engines publish atomically, plus the rate computed from the previous
-// sample. Gauges are zero when the engine does not publish them (only
-// astar/aeps and the native engines report incumbent/frontier/OPEN).
+// sample. Gauges are zero when the engine does not publish them (see
+// core.ProgressSnapshot: the depth-first engines and bnb report no
+// frontier).
 type Sample struct {
 	// OffsetMS is the time since sampling started.
 	OffsetMS int64 `json:"offset_ms"`
@@ -42,17 +45,6 @@ type Sample struct {
 	BestF int32 `json:"best_f,omitempty"`
 	// OpenLen is the live OPEN-list population summed across workers.
 	OpenLen int64 `json:"open_len,omitempty"`
-}
-
-// Source supplies the counters a Sampler reads. solverpool.Progress
-// implements it: the sampler loads atomics from outside the search, so
-// sampling never touches the expansion hot path.
-type Source interface {
-	// Counters returns the cumulative expansion counters.
-	Counters() (expanded, generated, prunedEquiv, prunedFTO int64)
-	// Gauges returns the incumbent bound, lower-bound frontier, and live
-	// OPEN population (zero where the engine does not publish them).
-	Gauges() (incumbent, bestF int32, open int64)
 }
 
 // Ring is the fixed-size telemetry buffer of one job. Appends come from a
@@ -138,11 +130,12 @@ func (r *Ring) Summary() Summary {
 }
 
 // StartSampler launches the ticker goroutine that samples src into ring
-// every interval (<= 0 selects DefaultSampleInterval) until ctx ends; the
+// (loading its atomics from outside the search, so sampling never touches
+// the expansion hot path) every interval (<= 0 selects DefaultSampleInterval) until ctx ends; the
 // returned stop function cancels it and waits for the final sample, so
 // the ring is quiescent — and holds the search's closing counters — once
 // stop returns. One sampler per job; the ring is sized independently.
-func StartSampler(ctx context.Context, src Source, interval time.Duration, ring *Ring) (stop func()) {
+func StartSampler(ctx context.Context, src *core.Progress, interval time.Duration, ring *Ring) (stop func()) {
 	if interval <= 0 {
 		interval = DefaultSampleInterval
 	}
@@ -155,7 +148,12 @@ func StartSampler(ctx context.Context, src Source, interval time.Duration, ring 
 		defer ticker.Stop()
 		var prev Sample
 		sample := func() {
-			s := snapshotSource(src, start)
+			p := src.Snapshot()
+			s := Sample{
+				OffsetMS: time.Since(start).Milliseconds(),
+				Expanded: p.Expanded, Generated: p.Generated, PrunedEquiv: p.PrunedEquiv, PrunedFTO: p.PrunedFTO,
+				Incumbent: p.Incumbent, BestF: p.BestF, OpenLen: p.OpenLen,
+			}
 			if dt := s.OffsetMS - prev.OffsetMS; dt > 0 {
 				s.ExpandedPerSec = float64(s.Expanded-prev.Expanded) / (float64(dt) / 1000)
 			}
@@ -177,15 +175,5 @@ func StartSampler(ctx context.Context, src Source, interval time.Duration, ring 
 	return func() {
 		cancel()
 		<-done
-	}
-}
-
-func snapshotSource(src Source, start time.Time) Sample {
-	exp, gen, pe, pf := src.Counters()
-	inc, bestF, open := src.Gauges()
-	return Sample{
-		OffsetMS: time.Since(start).Milliseconds(),
-		Expanded: exp, Generated: gen, PrunedEquiv: pe, PrunedFTO: pf,
-		Incumbent: inc, BestF: bestF, OpenLen: open,
 	}
 }

@@ -69,8 +69,9 @@ func (d Distribution) String() string {
 }
 
 // Options configures a parallel solve: the shared search settings (Stop is
-// polled between rounds with the total expansion count across all PPEs)
-// plus the machine model. The shared Tracer is ignored: the PPEs run
+// polled between rounds with the total expansion count across all PPEs,
+// and the PPEs' summed Stats are published into Progress there) plus the
+// machine model. The shared Tracer is ignored: the PPEs run
 // concurrently, so each gets its own from TracerFor.
 type Options struct {
 	core.Options
@@ -307,10 +308,27 @@ func SolveModel(m *core.Model, opt Options) (*core.Result, error) {
 		}
 	}()
 
+	// publish hands the PPEs' summed Stats to the Progress, if any, at a
+	// round boundary, where every live state sits in some OPEN list and
+	// their minimum f is a proven lower bound.
+	meter := opt.Progress.Meter()
+	publish := func(gmin int32) {
+		t, open, inc := totals(), 0, ub
+		for _, w := range workers {
+			open += w.open.Len()
+		}
+		if incumbent != nil {
+			inc = incumbent.F()
+		}
+		meter.Publish(&t, open, inc, gmin)
+	}
+
 	proved := false
+	var gmin int32
 	for {
 		// Termination / cutoff checks on globally consistent state.
-		gmin, anyOpen := globalMinF(workers)
+		var anyOpen bool
+		gmin, anyOpen = globalMinF(workers)
 		if !anyOpen {
 			proved = true
 			break
@@ -318,6 +336,9 @@ func SolveModel(m *core.Model, opt Options) (*core.Result, error) {
 		if incumbent != nil && float64(incumbent.F()) <= (1+opt.Epsilon)*float64(gmin) {
 			proved = true
 			break
+		}
+		if meter != nil {
+			publish(gmin)
 		}
 		if opt.Stop != nil && opt.Stop(totals().Expanded) {
 			break
@@ -356,6 +377,9 @@ func SolveModel(m *core.Model, opt Options) (*core.Result, error) {
 		}
 	}
 
+	if meter != nil {
+		publish(gmin)
+	}
 	stats := totals()
 	stats.Rounds = rounds
 	stats.CriticalWork = critWork

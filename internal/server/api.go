@@ -484,7 +484,7 @@ func decodeSystem(raw json.RawMessage, defaultProcs int) (*procgraph.System, err
 // fails (finishJob) unless it was interrupted.
 func Solve(ctx context.Context, pool *solverpool.Pool, job DispatchJob, origin string) (*JobResult, string) {
 	cfg := job.Config.EngineConfig()
-	job.Progress.Attach(&cfg)
+	cfg.Progress = job.Progress
 	span := job.Trace.Start("solve", origin)
 	if len(job.Engines) > 1 {
 		pf, err := pool.SolvePortfolio(ctx, job.Graph, job.System, job.Engines, cfg)

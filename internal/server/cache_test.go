@@ -17,10 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/procgraph"
-	"repro/internal/solverpool"
 )
 
 // normalizeResult strips the one field that legitimately differs between
@@ -260,7 +260,7 @@ func TestFinishPublishesCacheAndPersistFirst(t *testing.T) {
 		inst := newInstance(gen.PaperExample(), procgraph.Ring(3))
 		j := &job{
 			inst: inst, engines: []string{"astar"},
-			cancel: func() {}, progress: &solverpool.Progress{},
+			cancel: func() {}, progress: &core.Progress{},
 			trace:    obs.NewRecorder(obs.NewTraceID()),
 			cacheKey: cacheKey(inst, []string{"astar", tc.name}, JobConfig{}),
 			cacheOK:  true,

@@ -13,6 +13,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -20,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // histogram is a hand-rolled Prometheus fixed-bucket histogram (the
@@ -92,7 +95,7 @@ type metrics struct {
 	cancelled atomic.Int64
 
 	mu      sync.Mutex
-	engines map[string]*engineTotals // finished jobs' final counters
+	engines map[string]core.ProgressSnapshot // finished jobs' summed counters
 
 	// Latency histograms, observed once per finished job: queue wait
 	// (admission → solve start), solve wall time split by schedule-cache
@@ -104,18 +107,10 @@ type metrics struct {
 	e2e       *histogram
 }
 
-// engineTotals is one engine-selection's accumulated search effort.
-type engineTotals struct {
-	expanded    int64
-	generated   int64
-	prunedEquiv int64
-	prunedFTO   int64
-}
-
 func newMetrics() *metrics {
 	return &metrics{
 		start:     time.Now(),
-		engines:   map[string]*engineTotals{},
+		engines:   map[string]core.ProgressSnapshot{},
 		queueWait: newHistogram(latencyBuckets),
 		solveCold: newHistogram(latencyBuckets),
 		solveWarm: newHistogram(latencyBuckets),
@@ -152,39 +147,22 @@ func (m *metrics) recordFinish(state string, j *job) {
 			}
 		}
 	}
-	expanded, generated := j.progress.Snapshot()
-	equiv, fto := j.progress.SnapshotPruned()
+	p := j.progress.Snapshot()
+	key := engineKey(j.engines)
 	m.mu.Lock()
-	t := m.engines[engineKey(j.engines)]
-	if t == nil {
-		t = &engineTotals{}
-		m.engines[engineKey(j.engines)] = t
-	}
-	t.expanded += expanded
-	t.generated += generated
-	t.prunedEquiv += equiv
-	t.prunedFTO += fto
+	m.engines[key] = m.engines[key].AddCounters(p)
 	m.mu.Unlock()
 }
 
 // engineSnapshot returns the per-engine totals: finished accumulations
 // plus the live jobs' current progress.
-func (m *metrics) engineSnapshot(live []*job) map[string]engineTotals {
-	out := map[string]engineTotals{}
+func (m *metrics) engineSnapshot(live []*job) map[string]core.ProgressSnapshot {
 	m.mu.Lock()
-	for k, t := range m.engines {
-		out[k] = *t
-	}
+	out := maps.Clone(m.engines)
 	m.mu.Unlock()
 	for _, j := range live {
-		expanded, generated := j.progress.Snapshot()
-		equiv, fto := j.progress.SnapshotPruned()
-		t := out[engineKey(j.engines)]
-		t.expanded += expanded
-		t.generated += generated
-		t.prunedEquiv += equiv
-		t.prunedFTO += fto
-		out[engineKey(j.engines)] = t
+		key := engineKey(j.engines)
+		out[key] = out[key].AddCounters(j.progress.Snapshot())
 	}
 	return out
 }
@@ -261,22 +239,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		put("# HELP icpp98_engine_expanded_total Search states expanded, by engine selection.")
 		put("# TYPE icpp98_engine_expanded_total counter")
 		for _, k := range keys {
-			put(`icpp98_engine_expanded_total{engine=%q} %d`, k, totals[k].expanded)
+			put(`icpp98_engine_expanded_total{engine=%q} %d`, k, totals[k].Expanded)
 		}
 		put("# HELP icpp98_engine_generated_total Search states generated, by engine selection.")
 		put("# TYPE icpp98_engine_generated_total counter")
 		for _, k := range keys {
-			put(`icpp98_engine_generated_total{engine=%q} %d`, k, totals[k].generated)
+			put(`icpp98_engine_generated_total{engine=%q} %d`, k, totals[k].Generated)
 		}
 		put("# HELP icpp98_engine_pruned_equiv_total Ready nodes skipped by equivalent-task pruning, by engine selection.")
 		put("# TYPE icpp98_engine_pruned_equiv_total counter")
 		for _, k := range keys {
-			put(`icpp98_engine_pruned_equiv_total{engine=%q} %d`, k, totals[k].prunedEquiv)
+			put(`icpp98_engine_pruned_equiv_total{engine=%q} %d`, k, totals[k].PrunedEquiv)
 		}
 		put("# HELP icpp98_engine_pruned_fto_total Ready nodes collapsed by fixed-task-order pruning, by engine selection.")
 		put("# TYPE icpp98_engine_pruned_fto_total counter")
 		for _, k := range keys {
-			put(`icpp98_engine_pruned_fto_total{engine=%q} %d`, k, totals[k].prunedFTO)
+			put(`icpp98_engine_pruned_fto_total{engine=%q} %d`, k, totals[k].PrunedFTO)
 		}
 	}
 

@@ -46,6 +46,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/procgraph"
 	"repro/internal/solverpool"
@@ -267,8 +268,9 @@ func recordOf(op storeOp, j *job, seq int64) jobRecord {
 	if enc := j.inst.encoded.Load(); enc != nil {
 		rec.Graph, rec.System = enc.graph, enc.system
 	}
-	rec.Expanded, rec.Generated = j.progress.Snapshot()
-	rec.PrunedEquiv, rec.PrunedFTO = j.progress.SnapshotPruned()
+	p := j.progress.Snapshot()
+	rec.Expanded, rec.Generated = p.Expanded, p.Generated
+	rec.PrunedEquiv, rec.PrunedFTO = p.PrunedEquiv, p.PrunedFTO
 	if j.trace != nil {
 		// Spill the trace so the timeline survives a restart. The recorder
 		// takes its own (leaf) mutex under the store mutex; it never locks
@@ -310,7 +312,7 @@ func (rec jobRecord) toJob(now time.Time, resumable bool) (*job, error) {
 		engines:    rec.Engines,
 		config:     rec.Config,
 		cancel:     func() {},
-		progress:   &solverpool.Progress{},
+		progress:   &core.Progress{},
 		done:       make(chan struct{}),
 		state:      rec.State,
 		created:    rec.Created,
@@ -325,8 +327,10 @@ func (rec jobRecord) toJob(now time.Time, resumable bool) (*job, error) {
 		// (and /trace keeps answering 404 for them).
 		j.trace = obs.NewRecorderSeeded(rec.TraceID, rec.Spans)
 	}
-	j.progress.Record(rec.Expanded, rec.Generated)
-	j.progress.RecordPruned(rec.PrunedEquiv, rec.PrunedFTO)
+	j.progress.Record(core.ProgressSnapshot{
+		Expanded: rec.Expanded, Generated: rec.Generated,
+		PrunedEquiv: rec.PrunedEquiv, PrunedFTO: rec.PrunedFTO,
+	})
 	if terminal(j.state) {
 		close(j.done) // recovered terminal jobs: waiters must not block
 	}

@@ -19,9 +19,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/procgraph"
-	"repro/internal/solverpool"
 )
 
 // getHealth fetches /v1/healthz.
@@ -297,7 +297,7 @@ func TestRecoveryEvictsInFinishOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	newJob := func() *job {
-		return &job{inst: newInstance(g, sys), cancel: func() {}, progress: &solverpool.Progress{}}
+		return &job{inst: newInstance(g, sys), cancel: func() {}, progress: &core.Progress{}}
 	}
 	base := time.Unix(1_000_000_000, 0)
 	clock := base
@@ -377,9 +377,9 @@ func FuzzStoreDecode(f *testing.F) {
 		created: time.Unix(10, 0).UTC(),
 		result: &JobResult{ID: "job-1", State: StateDone, Engine: "astar", Length: 14,
 			Schedule: SchedulePayload{Length: 14}},
-		progress: &solverpool.Progress{},
+		progress: &core.Progress{},
 	}
-	j.progress.Record(7, 9)
+	j.progress.Record(core.ProgressSnapshot{Expanded: 7, Generated: 9})
 	seed, err := json.Marshal(recordOf(opPut, j, 5))
 	if err != nil {
 		f.Fatal(err)

@@ -47,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/procgraph"
@@ -115,7 +116,7 @@ type DispatchJob struct {
 	// every job the server dispatches; a local solve never calls it.
 	Encode   func() (graph, system json.RawMessage, err error)
 	Started  func()
-	Progress *solverpool.Progress
+	Progress *core.Progress
 	// TraceID travels with the lease so the remote worker's log records
 	// and spans correlate with the coordinator's trace.
 	TraceID string
@@ -364,12 +365,13 @@ func (s *Server) Close() {
 	s.store.close()
 }
 
+// WriteJSON writes v as a compact JSON body with the given status. A
+// json.RawMessage inside v (a memoized result, a lease's admission bytes)
+// is copied as it is, never re-indented.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // WriteError writes the unified error envelope: an HTTP status, a stable
@@ -442,7 +444,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		engines:  names,
 		config:   req.Config,
 		cancel:   cancel,
-		progress: &solverpool.Progress{},
+		progress: &core.Progress{},
 		trace:    obs.NewRecorder(obs.NewTraceID()),
 	}
 	if s.cache != nil {

@@ -846,7 +846,7 @@ type fakeDispatcher struct {
 
 func (d *fakeDispatcher) Dispatch(ctx context.Context, job DispatchJob) (*JobResult, string) {
 	job.Started()
-	job.Progress.Record(42, 99)
+	job.Progress.Record(core.ProgressSnapshot{Expanded: 42, Generated: 99})
 	res := d.res
 	if res != nil {
 		cp := *res

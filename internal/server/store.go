@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/solverpool"
 )
@@ -44,7 +45,7 @@ type job struct {
 	cacheNote   string // "" | "hit" | "bypass", surfaced in JobStatus.Cache
 
 	cancel   context.CancelFunc
-	progress *solverpool.Progress
+	progress *core.Progress
 	done     chan struct{} // closed when the job reaches a terminal state
 	eventSeq int64         // /events snapshots emitted so far (across all streams)
 
@@ -486,8 +487,9 @@ func (st *memStore) status(j *job) JobStatus {
 	if !j.finished.IsZero() {
 		out.Finished = j.finished.UTC().Format(time.RFC3339Nano)
 	}
-	out.Progress.Expanded, out.Progress.Generated = j.progress.Snapshot()
-	out.Progress.PrunedEquiv, out.Progress.PrunedFTO = j.progress.SnapshotPruned()
+	p := j.progress.Snapshot()
+	out.Progress.Expanded, out.Progress.Generated = p.Expanded, p.Generated
+	out.Progress.PrunedEquiv, out.Progress.PrunedFTO = p.PrunedEquiv, p.PrunedFTO
 	if j.result != nil {
 		out.Length = j.result.Length
 		out.Optimal = j.result.Optimal

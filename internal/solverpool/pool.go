@@ -14,9 +14,10 @@
 // settles the instance for all of them.
 //
 // The pool is also the substrate of the network daemon (internal/server):
-// Progress is a counting tracer a job attaches to its solve so a status
-// endpoint can report live expansion counts, and Workers/InFlight/Stats
-// expose the capacity and cache behaviour a health endpoint publishes.
+// a job hands its core.Progress to the solve through engine.Config, and
+// every engine publishes its Stats there for a status endpoint to read
+// live; Workers/InFlight/Stats expose the capacity and cache behaviour a
+// health endpoint publishes.
 package solverpool
 
 import (

@@ -23,6 +23,7 @@ package stg
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -165,13 +166,6 @@ type record struct {
 // its successors, preserving every precedence the dummy mediated.
 func build(recs []record, opt ImportOptions) (*taskgraph.Graph, error) {
 	n := len(recs)
-	succ := make([][]int, n)
-	for i, rc := range recs {
-		for _, p := range rc.preds {
-			succ[p] = append(succ[p], i)
-		}
-	}
-
 	dummy := make([]bool, n)
 	if !opt.KeepDummies {
 		for i, rc := range recs {
@@ -181,17 +175,37 @@ func build(recs []record, opt ImportOptions) (*taskgraph.Graph, error) {
 		}
 	}
 
-	// realPreds flattens chains of dummies: the real predecessors of node
-	// i, looking through any dummy ancestors.
-	var realPreds func(i int, out map[int]bool)
-	realPreds = func(i int, out map[int]bool) {
+	// through[i] holds, for a dummy i, the real tasks that precede it
+	// through dummies only. Ids are topological (every predecessor has a
+	// smaller id), so one ascending pass fills each set once from its
+	// predecessors' — walking the dummy paths instead takes time
+	// exponential in the depth of a dummy lattice.
+	through := make([][]int, n)
+	realPreds := func(i int) []int {
+		seen := map[int]bool{}
+		var out []int
+		add := func(p int) {
+			if !seen[p] {
+				seen[p] = true
+				out = append(out, p)
+			}
+		}
 		for _, p64 := range recs[i].preds {
 			p := int(p64)
-			if dummy[p] {
-				realPreds(p, out)
-			} else {
-				out[p] = true
+			if !dummy[p] {
+				add(p)
+				continue
 			}
+			for _, q := range through[p] {
+				add(q)
+			}
+		}
+		sort.Ints(out)
+		return out
+	}
+	for i := range recs {
+		if dummy[i] {
+			through[i] = realPreds(i)
 		}
 	}
 
@@ -224,9 +238,7 @@ func build(recs []record, opt ImportOptions) (*taskgraph.Graph, error) {
 		if dummy[i] {
 			continue
 		}
-		preds := map[int]bool{}
-		realPreds(i, preds)
-		for p := range preds {
+		for _, p := range realPreds(i) {
 			b.AddEdge(id[p], id[i], opt.EdgeCost)
 		}
 	}

@@ -1,6 +1,7 @@
 package stg_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -103,6 +104,37 @@ func TestReadDummyChain(t *testing.T) {
 	// Precedence 0 -> 3 must survive through the dummy chain 1 -> 2.
 	if _, ok := g.EdgeCost(0, 1); !ok {
 		t.Error("transitive edge through dummy chain missing")
+	}
+}
+
+// TestReadDummyLattice splices a deep lattice of dummies — every task
+// lists every earlier one as a predecessor — without walking each of the
+// 2^58 dummy paths between the two real tasks, which end up joined by one
+// edge.
+func TestReadDummyLattice(t *testing.T) {
+	const n = 60
+	var b strings.Builder
+	fmt.Fprintln(&b, n)
+	for i := 0; i < n; i++ {
+		w := 0
+		if i == 0 || i == n-1 {
+			w = 5
+		}
+		fmt.Fprintf(&b, "%d %d %d", i, w, i)
+		for p := 0; p < i; p++ {
+			fmt.Fprintf(&b, " %d", p)
+		}
+		fmt.Fprintln(&b)
+	}
+	g, err := stg.Read(strings.NewReader(b.String()), stg.ImportOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 2 || g.NumEdges() != 1 {
+		t.Fatalf("kept %d nodes and %d edges; want 2 and 1", g.NumNodes(), g.NumEdges())
+	}
+	if _, ok := g.EdgeCost(0, 1); !ok {
+		t.Error("edge through the dummy lattice missing")
 	}
 }
 
