@@ -12,13 +12,13 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/bnb"
 	"repro/internal/core"
-	"repro/internal/dfbb"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/listsched"
 	"repro/internal/parallel"
@@ -79,7 +79,7 @@ func BenchmarkTable1_ChenBnB(b *testing.B) {
 			g, sys := benchInstance(ccr, 10)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := bnb.Solve(g, sys, core.Options{})
+				res, err := engine.Solve(context.Background(), "bnb", g, sys, engine.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -100,7 +100,7 @@ func BenchmarkFigure6_ParallelAStar(b *testing.B) {
 			b.ReportAllocs()
 			var crit int64
 			for i := 0; i < b.N; i++ {
-				res, err := parallel.Solve(g, sys, parallel.Options{PPEs: q})
+				res, err := engine.Solve(context.Background(), "parallel", g, sys, engine.Config{PPEs: q})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -122,7 +122,7 @@ func BenchmarkFigure6_HashDistribution(b *testing.B) {
 		b.Run(fmt.Sprintf("ppes=%d", q), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := parallel.Solve(g, sys, parallel.Options{
+				res, err := engine.Solve(context.Background(), "parallel", g, sys, engine.Config{
 					PPEs: q, Distribution: parallel.DistributeHash,
 				})
 				if err != nil {
@@ -164,7 +164,7 @@ func BenchmarkFigure7_EpsilonParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := parallel.Solve(g, sys, parallel.Options{Options: core.Options{Epsilon: eps}, PPEs: 4})
+				res, err := engine.Solve(context.Background(), "parallel", g, sys, engine.Config{Epsilon: eps, PPEs: 4})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -223,13 +223,19 @@ func BenchmarkAblation_Engines(b *testing.B) {
 		run(b, func() (*core.Result, error) { return core.Solve(g, sys, core.Options{}) })
 	})
 	b.Run("dfbb", func(b *testing.B) {
-		run(b, func() (*core.Result, error) { return dfbb.Solve(g, sys, dfbb.Options{}) })
+		run(b, func() (*core.Result, error) {
+			return engine.Solve(context.Background(), "dfbb", g, sys, engine.Config{})
+		})
 	})
 	b.Run("dfbb-table", func(b *testing.B) {
-		run(b, func() (*core.Result, error) { return dfbb.Solve(g, sys, dfbb.Options{UseVisited: true}) })
+		run(b, func() (*core.Result, error) {
+			return engine.Solve(context.Background(), "dfbb", g, sys, engine.Config{UseVisited: true})
+		})
 	})
 	b.Run("idastar", func(b *testing.B) {
-		run(b, func() (*core.Result, error) { return dfbb.SolveIDA(g, sys, dfbb.Options{}) })
+		run(b, func() (*core.Result, error) {
+			return engine.Solve(context.Background(), "ida", g, sys, engine.Config{})
+		})
 	})
 }
 

@@ -36,17 +36,13 @@ func main() {
 	coordinator := flag.String("coordinator", "http://localhost:8098", "coordinator base URL (an icpp98d started with -cluster)")
 	name := flag.String("name", "", "worker label in listings (default: hostname)")
 	slots := flag.Int("slots", 0, "concurrent solves (0 = GOMAXPROCS)")
-	quiet := flag.Bool("quiet", false, "suppress per-job log lines")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	flag.Parse()
 
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "icpp98worker: "+format+"\n", args...)
-	}
 	var lvl slog.Level
 	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
-		logf("bad -log-level %q: %v", *logLevel, err)
+		fmt.Fprintf(os.Stderr, "icpp98worker: bad -log-level %q: %v\n", *logLevel, err)
 		os.Exit(2)
 	}
 	opts := &slog.HandlerOptions{Level: lvl}
@@ -57,26 +53,21 @@ func main() {
 	case "json":
 		logger = slog.New(slog.NewJSONHandler(os.Stderr, opts))
 	default:
-		logf("bad -log-format %q (want text or json)", *logFormat)
+		fmt.Fprintf(os.Stderr, "icpp98worker: bad -log-format %q (want text or json)\n", *logFormat)
 		os.Exit(2)
 	}
 	w := cluster.NewWorker(cluster.WorkerConfig{
 		Coordinator: *coordinator,
 		Name:        *name,
 		Slots:       *slots,
-		Logf: func(format string, args ...any) {
-			if !*quiet {
-				logf(format, args...)
-			}
-		},
-		Logger: logger,
+		Logger:      logger,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := w.Run(ctx); err != nil && ctx.Err() == nil {
-		logf("%v", err)
+		logger.Error("worker failed", "error", err.Error())
 		os.Exit(1)
 	}
-	logf("drained, exiting")
+	logger.Info("drained, exiting")
 }

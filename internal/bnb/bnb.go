@@ -23,8 +23,6 @@
 package bnb
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/heapx"
 	"repro/internal/procgraph"
@@ -45,27 +43,12 @@ type state struct {
 	depth  int32
 }
 
-// Solve runs the baseline to optimality (unless cut off).
-func Solve(g *taskgraph.Graph, sys *procgraph.System, opt core.Options) (*core.Result, error) {
-	m, err := core.NewModel(g, sys)
-	if err != nil {
-		return nil, err
-	}
-	return SolveModel(m, opt)
-}
-
-// SolveModel is Solve for a prebuilt model (the engine reads only the
-// model's graph and system; its cost function is deliberately its own).
-// Of opt it reads only Stop and Progress: the baseline applies none of the
-// §3.2 prunings, keeps its own bound, and runs exact. A search cut off before
-// its first complete schedule returns the list-scheduling fallback.
-func SolveModel(m *core.Model, opt core.Options) (*core.Result, error) {
+// Search runs the baseline to optimality (unless cut off). It reads only
+// the model's graph and system (its cost function is deliberately its own)
+// and, of opt, only Stop and Progress: the baseline applies none of the
+// §3.2 prunings, takes no U, keeps its own bound, and runs exact.
+func Search(m *core.Model, opt core.Options) core.Outcome {
 	g, sys := m.G, m.Sys
-	started := time.Now()
-	_, fallback, err := core.ResolveUpperBound(m, opt)
-	if err != nil {
-		return nil, err
-	}
 	e := &engine{
 		g: g, sys: sys,
 		v: g.NumNodes(), p: sys.NumProcs(),
@@ -136,11 +119,11 @@ func SolveModel(m *core.Model, opt core.Options) (*core.Result, error) {
 	}
 	publish()
 
-	var best *schedule.Schedule
+	out := core.Outcome{Proved: proved, Exact: true, Stats: e.stats}
 	if goalBest != nil {
-		best = e.scheduleOf(goalBest)
+		out.Best = e.scheduleOf(goalBest)
 	}
-	return core.Certify(best, fallback, proved, true, 0, e.stats, started), nil
+	return out
 }
 
 type engine struct {

@@ -8,14 +8,24 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/procgraph"
+	"repro/internal/taskgraph"
 )
+
+// solve runs the baseline on (g, sys) through the engine boundary.
+func solve(g *taskgraph.Graph, sys *procgraph.System, opt core.Options) (*core.Result, error) {
+	m, err := core.NewModel(g, sys)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(m, opt, func(core.Start) (core.Outcome, error) { return Search(m, opt), nil })
+}
 
 // TestPaperExample: the baseline must also find the optimal length 14 on the
 // worked example.
 func TestPaperExample(t *testing.T) {
 	g := gen.PaperExample()
 	sys := procgraph.Ring(3)
-	res, err := Solve(g, sys, core.Options{})
+	res, err := solve(g, sys, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +48,7 @@ func TestMatchesAStar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Solve(g, sys, core.Options{})
+			b, err := solve(g, sys, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +74,7 @@ func TestMatchesBruteForceQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Solve(g, sys, core.Options{})
+		got, err := solve(g, sys, core.Options{})
 		if err != nil {
 			return false
 		}
@@ -79,7 +89,7 @@ func TestMatchesBruteForceQuick(t *testing.T) {
 func TestCutoff(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 16, CCR: 1.0, Seed: 5})
 	sys := procgraph.Complete(4)
-	res, err := Solve(g, sys, core.Options{Stop: func(expanded int64) bool { return expanded >= 50 }})
+	res, err := solve(g, sys, core.Options{Stop: func(expanded int64) bool { return expanded >= 50 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +115,7 @@ func TestCostFunctionIsSlowerPerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, sys, core.Options{Stop: budget})
+	b, err := solve(g, sys, core.Options{Stop: budget})
 	if err != nil {
 		t.Fatal(err)
 	}

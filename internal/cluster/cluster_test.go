@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -118,11 +119,24 @@ func newCluster(t *testing.T, scfg server.Config, ccfg Config) (*Coordinator, st
 	return coord, ts.URL
 }
 
+// testLogger returns a logger whose records go to t.Log.
+func testLogger(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+// testLogWriter writes each record a slog handler formats as one t.Log line.
+type testLogWriter struct{ t *testing.T }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
 // startWorker runs a Worker against the daemon and waits until it is
 // registered (the coordinator's capacity includes it).
 func startWorker(t *testing.T, coord *Coordinator, url, name string, slots int) *Worker {
 	t.Helper()
-	w := NewWorker(WorkerConfig{Coordinator: url, Name: name, Slots: slots, Logf: t.Logf})
+	w := NewWorker(WorkerConfig{Coordinator: url, Name: name, Slots: slots, Logger: testLogger(t)})
 	// Read the capacity before the worker can register, or a fast
 	// registration is counted in the baseline and waited for twice.
 	before := coord.Capacity()
@@ -538,7 +552,7 @@ func TestClusterGracefulDrainFallsBackImmediately(t *testing.T) {
 	gateDrain.reset()
 	coord, url := newCluster(t, server.Config{Workers: 1}, cfg)
 
-	w := NewWorker(WorkerConfig{Coordinator: url, Name: "drainer", Slots: 1, Logf: t.Logf})
+	w := NewWorker(WorkerConfig{Coordinator: url, Name: "drainer", Slots: 1, Logger: testLogger(t)})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -576,7 +590,7 @@ func TestDrainedWorkerLeavesAtOnce(t *testing.T) {
 	cfg.WorkerTimeout = 30 * time.Second
 	coord, url := newCluster(t, server.Config{Workers: 1}, cfg)
 
-	w := NewWorker(WorkerConfig{Coordinator: url, Name: "leaver", Slots: 1, Logf: t.Logf})
+	w := NewWorker(WorkerConfig{Coordinator: url, Name: "leaver", Slots: 1, Logger: testLogger(t)})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

@@ -34,12 +34,9 @@ type WorkerConfig struct {
 	Slots int
 	// Client is the HTTP client; nil selects http.DefaultClient.
 	Client *http.Client
-	// Logf receives operational messages; nil discards them.
-	Logf func(format string, args ...any)
-	// Logger receives the worker's structured log records — registration,
-	// lease lifecycle, report failures — stamped with each job's trace_id.
-	// nil discards them. Logf and Logger are independent sinks; production
-	// binaries set Logger, tests often capture Logf.
+	// Logger receives the worker's log records — registration and its
+	// retries, lease lifecycle, report, leave and abandon failures — job
+	// records stamped with the job's trace_id. nil discards them.
 	Logger *slog.Logger
 }
 
@@ -59,7 +56,6 @@ type Worker struct {
 	name   string
 	pool   *solverpool.Pool
 	client *http.Client
-	logf   func(string, ...any)
 	log    *slog.Logger
 
 	id          string
@@ -125,10 +121,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -138,7 +130,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		name:   name,
 		pool:   solverpool.New(cfg.Slots),
 		client: client,
-		logf:   logf,
 		log:    logger,
 		held:   map[string]*heldLease{},
 	}
@@ -238,7 +229,7 @@ func (w *Worker) register(ctx context.Context) error {
 			w.reportEvery = every
 			w.mu.Unlock()
 			w.applyAdoptions(resp.WorkerID, resp.Adoptions)
-			w.logf("registered as %s (capacity %d) with %s", resp.WorkerID, req.Capacity, w.base)
+			w.log.Info("registered", "worker_id", resp.WorkerID, "capacity", req.Capacity, "coordinator", w.base)
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -250,7 +241,7 @@ func (w *Worker) register(ctx context.Context) error {
 			// retries, and a supervisor should see the process fail.
 			return fmt.Errorf("register with %s: %w", w.base, err)
 		}
-		w.logf("register: %v (retrying)", err)
+		w.log.Warn("register failed, retrying", "coordinator", w.base, "error", err.Error())
 		select {
 		case <-time.After(time.Second):
 		case <-ctx.Done():
@@ -289,10 +280,8 @@ func (w *Worker) applyAdoptions(workerID string, adoptions []LeaseAdoption) {
 		}
 		if a.Adopted {
 			h.adopt(workerID)
-			w.logf("job %s: lease adopted across coordinator restart", a.JobID)
 			w.log.Info("lease adopted", "job", a.JobID, "trace_id", h.traceID, "worker_id", workerID)
 		} else {
-			w.logf("job %s: lease abandoned by coordinator: %s", a.JobID, a.Reason)
 			w.log.Warn("lease abandoned", "job", a.JobID, "trace_id", h.traceID, "reason", a.Reason)
 			h.abandon()
 		}
@@ -386,7 +375,7 @@ func (w *Worker) leave() {
 	ctx, cancel := context.WithTimeout(context.Background(), leaveTimeout)
 	defer cancel()
 	if err := w.post(ctx, "/v1/workers/leave", LeaveRequest{WorkerID: w.workerID()}, nil); err != nil {
-		w.logf("leave: %v", err)
+		w.log.Warn("leave failed", "error", err.Error())
 	}
 }
 
@@ -408,7 +397,7 @@ func (w *Worker) pull(ctx context.Context) error {
 			return nil
 		case statusCode(err) == http.StatusNotFound:
 			// The coordinator forgot us (restart, timeout): re-register.
-			w.logf("lease: %v", err)
+			w.log.Warn("lease refused, re-registering", "worker_id", id, "error", err.Error())
 			if rerr := w.reregister(ctx, id); rerr != nil {
 				if ctx.Err() != nil {
 					return nil
@@ -416,7 +405,7 @@ func (w *Worker) pull(ctx context.Context) error {
 				return rerr
 			}
 		default:
-			w.logf("lease: %v (retrying)", err)
+			w.log.Warn("lease failed, retrying", "error", err.Error())
 			select {
 			case <-time.After(time.Second):
 			case <-ctx.Done():
@@ -434,7 +423,6 @@ func (w *Worker) pull(ctx context.Context) error {
 // re-registration may have moved on). A killed worker reports nothing at
 // all.
 func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) {
-	w.logf("job %s (attempt %d): %s", lease.ID, lease.Attempt, strings.Join(lease.Engines, ","))
 	w.log.Info("lease received",
 		"job", lease.ID, "trace_id", lease.TraceID,
 		"attempt", lease.Attempt, "engines", strings.Join(lease.Engines, ","))
@@ -589,7 +577,6 @@ func (w *Worker) finishJob(h *heldLease, prog *core.Progress, rec *obs.Recorder,
 				continue
 			}
 		}
-		w.logf("job %s: final report failed: %v", h.jobID, err)
 		w.log.Warn("final report failed", "job", h.jobID, "trace_id", h.traceID, "error", err.Error())
 		return
 	}
@@ -605,6 +592,6 @@ func (w *Worker) abandonJob(h *heldLease, prog *core.Progress) {
 	req.Abandon = true
 	err := w.post(ctx, "/v1/workers/jobs/"+h.jobID+"/report", req, nil)
 	if err != nil && statusCode(err) != http.StatusGone {
-		w.logf("job %s: abandon failed: %v", h.jobID, err)
+		w.log.Warn("abandon failed", "job", h.jobID, "trace_id", h.traceID, "error", err.Error())
 	}
 }

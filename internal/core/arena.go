@@ -20,7 +20,7 @@ package core
 // An Arena is owned by one Expander and is not safe for concurrent use; the
 // parallel engine gives each PPE its own expander, and every arena lives
 // until the solve returns, so cross-PPE state migration never outlives the
-// slab that backs it. SolveModel takes its arena from a pool and hands it
+// slab that backs it. Search takes its arena from a pool and hands it
 // back, every slab on the free list, when it returns (see reuse.go).
 type Arena struct {
 	slabs [][]State // full + current slabs, in allocation order

@@ -114,7 +114,7 @@ func HFuncByName(name string) (HFunc, bool) {
 // a Progress publishes it live.
 //
 // A *State a Tracer receives is valid until the solve returns. States live
-// in the solve's arena, which SolveModel hands to a later solve, so a
+// in the solve's arena, which Search hands to a later solve, so a
 // tracer that keeps a state past the solve must keep a copy
 // (State.Detach; the trace package's tree does).
 type Tracer interface {

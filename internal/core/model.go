@@ -12,8 +12,9 @@
 // Reading order: Model (NewModel precomputes every per-instance table the
 // search needs — execution costs, admissible static levels, equivalence and
 // interchangeability classes), then State and Expander (expand.go, the §3.1
-// operator with the §3.2 prunings), then Solve/SolveModel (solve.go, the
-// serial A*/Aε* loop that every other engine package mirrors). Model is
+// operator with the §3.2 prunings), then Search (solve.go, the serial
+// A*/Aε* loop that every other engine package mirrors) and Run
+// (boundary.go, the engine boundary every search runs through). Model is
 // immutable after construction and shared freely across engines and
 // goroutines — the property internal/solverpool's memoization and the
 // network daemon's repeated-instance path rely on.

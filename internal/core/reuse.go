@@ -9,7 +9,7 @@ import (
 // is three kinds of buffer: the arena slabs, the visited table's slot
 // array, and the OPEN list's entry arrays (the exact heap's, or one per
 // depth for a FocalQueue). All are reused through the pools below;
-// SolveModel hands its buffers back when it returns.
+// Search hands its buffers back when it returns.
 //
 // Solves of very different sizes follow one another: on the benchmark's
 // paper-exact workload about 39% of solves need a smaller visited table

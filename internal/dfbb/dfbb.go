@@ -16,8 +16,10 @@
 // DFBB explores children best-f-first and prunes against a falling
 // incumbent, seeded with the §3.2 list-scheduling upper bound U: a branch
 // with f >= incumbent cannot improve on a complete schedule already in
-// hand. If the search exhausts without ever beating U, the U schedule
-// itself is returned, proven optimal.
+// hand. When the list schedule is no longer than U, a search that
+// exhausts without beating U proves that schedule optimal (core.Run
+// returns it); when a caller's U is below the list schedule, the seed is
+// U+1, so schedules of length U are still found.
 //
 // IDA* runs successive depth-first passes bounded by an f threshold,
 // raising the threshold each pass to the smallest f that exceeded it. The
@@ -28,47 +30,29 @@ package dfbb
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/procgraph"
 	"repro/internal/schedule"
-	"repro/internal/taskgraph"
 )
 
-// Options configures the depth-first engines: the shared search settings
-// plus the DFBB duplicate table. Epsilon is ignored (both engines are
-// exact), and so is Tracer: each DFS frame rewinds its arena on return,
-// which would corrupt a tracer that keeps the states it is handed. Progress
-// is fed at every cutoff poll.
+// Options configures DFBB: the shared search settings plus the duplicate
+// table. Both engines ignore Epsilon (they are exact) and Tracer: each DFS
+// frame rewinds its arena on return, which would corrupt a tracer that
+// keeps the states it is handed. Progress is fed at every cutoff poll.
 type Options struct {
 	core.Options
-	// UseVisited enables the full duplicate-state table (DFBB only):
-	// memory proportional to the states generated, bought back as time —
-	// the inverse of the engines' usual trade. IDA* ignores it.
+	// UseVisited enables the full duplicate-state table: memory
+	// proportional to the states generated, bought back as time — the
+	// inverse of the engines' usual trade.
 	UseVisited bool
 }
 
 const inf = int32(1) << 30
 
-// Solve runs depth-first branch-and-bound and returns a provably optimal
-// schedule (unless a cutoff fires, in which case the best incumbent is
-// returned with Optimal=false).
-func Solve(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*core.Result, error) {
-	m, err := core.NewModel(g, sys)
-	if err != nil {
-		return nil, err
-	}
-	return SolveModel(m, opt)
-}
-
-// SolveModel is Solve for a prebuilt model.
-func SolveModel(m *core.Model, opt Options) (*core.Result, error) {
-	started := time.Now()
-	d, fallback, err := newSearcher(m, opt.Options)
-	if err != nil {
-		return nil, err
-	}
+// Search runs depth-first branch-and-bound under s and returns a provably
+// optimal schedule, or the best incumbent when a cutoff fires.
+func Search(m *core.Model, opt Options, s core.Start) core.Outcome {
+	d := newSearcher(m, opt.Options, s)
 	if opt.UseVisited {
 		d.visited = core.NewVisited()
 	}
@@ -76,7 +60,7 @@ func SolveModel(m *core.Model, opt Options) (*core.Result, error) {
 	if d.visited != nil {
 		d.stats.VisitedSize = d.visited.Len()
 	}
-	return d.result(fallback, started), nil
+	return d.outcome()
 }
 
 // searcher holds the mutable search state shared by DFBB and IDA*.
@@ -89,8 +73,8 @@ type searcher struct {
 	// incumbent is the best complete schedule found, materialized at
 	// discovery time (its goal state lives in an arena frame that is
 	// rewound when the DFS frame returns); incumbentLen its length,
-	// initialized to the upper bound U (with no schedule) so the bound
-	// prunes from the first expansion.
+	// seeded from the upper bound U (with no schedule) so the bound prunes
+	// from the first expansion.
 	incumbent    *schedule.Schedule
 	incumbentLen int32
 
@@ -105,7 +89,7 @@ type searcher struct {
 	children []*core.State // reusable collection buffer
 }
 
-func newSearcher(m *core.Model, opt core.Options) (*searcher, *schedule.Schedule, error) {
+func newSearcher(m *core.Model, opt core.Options, s core.Start) *searcher {
 	opt.Tracer = nil // see Options
 	d := &searcher{
 		m:            m,
@@ -115,26 +99,27 @@ func newSearcher(m *core.Model, opt core.Options) (*searcher, *schedule.Schedule
 		stop:         opt.Stop,
 		meter:        opt.Progress.Meter(),
 	}
-	ub, fallback, err := core.ResolveUpperBound(m, opt)
-	if err != nil {
-		return nil, nil, err
+	if s.UB > 0 {
+		// Look for schedules shorter than U when the list schedule realizes
+		// one no longer than U, and no longer than U otherwise.
+		d.incumbentLen = s.UB
+		if s.Fallback > s.UB {
+			d.incumbentLen++
+		}
 	}
-	if ub > 0 {
-		d.incumbentLen = ub
-	}
-	d.stats.UpperBound = ub
+	d.stats.UpperBound = s.UB
 	d.stats.StaticLB = m.StaticLowerBound()
 	d.exp = m.NewExpander(opt, &d.stats)
-	// The incumbent bound subsumes the static U prune (it starts at U), so
-	// the expander's separate UB check stays off and all pruning is counted
-	// under PrunedBound.
+	// The incumbent bound subsumes the static U prune (it starts at U or
+	// U+1), so the expander's separate UB check stays off and all pruning
+	// is counted under PrunedBound.
 	d.exp.Bound = func() int32 {
 		if d.incumbentLen == inf {
 			return 0
 		}
 		return d.incumbentLen
 	}
-	return d, fallback, nil
+	return d
 }
 
 // cut reports whether the caller-supplied cutoff has fired (and latches
@@ -224,15 +209,9 @@ func (d *searcher) dfs(s *core.State, depth int) {
 	}
 }
 
-// result certifies the engine outcome: the incumbent when one was found.
-// A search that exhausted without beating U proves the list-scheduling
-// fallback optimal when the fallback realizes U, which it does unless the
-// caller overrode U with a smaller bound.
-func (d *searcher) result(fallback *schedule.Schedule, started time.Time) *core.Result {
+// outcome reports the incumbent, if any; the search is proven unless the
+// cutoff fired.
+func (d *searcher) outcome() core.Outcome {
 	d.publish()
-	best := d.incumbent
-	if best == nil && !d.stopped && fallback.Length <= d.stats.UpperBound {
-		best = fallback
-	}
-	return core.Certify(best, fallback, !d.stopped, true, 0, d.stats, started)
+	return core.Outcome{Best: d.incumbent, Proved: !d.stopped, Exact: true, Stats: d.stats}
 }

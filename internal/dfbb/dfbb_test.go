@@ -8,13 +8,32 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/procgraph"
+	"repro/internal/taskgraph"
 )
+
+// solve runs DFBB on (g, sys) through the engine boundary.
+func solve(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*core.Result, error) {
+	m, err := core.NewModel(g, sys)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(m, opt.Options, func(s core.Start) (core.Outcome, error) { return Search(m, opt, s), nil })
+}
+
+// solveIDA runs IDA* on (g, sys) through the engine boundary.
+func solveIDA(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*core.Result, error) {
+	m, err := core.NewModel(g, sys)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(m, opt.Options, func(s core.Start) (core.Outcome, error) { return SearchIDA(m, opt.Options, s), nil })
+}
 
 // TestPaperExampleDFBB asserts DFBB reproduces the worked example's optimal
 // schedule length of 14 (Figure 4) on the 3-processor ring.
 func TestPaperExampleDFBB(t *testing.T) {
 	g := gen.PaperExample()
-	res, err := Solve(g, procgraph.Ring(3), Options{})
+	res, err := solve(g, procgraph.Ring(3), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +48,7 @@ func TestPaperExampleDFBB(t *testing.T) {
 // TestPaperExampleIDA asserts IDA* reproduces the worked example.
 func TestPaperExampleIDA(t *testing.T) {
 	g := gen.PaperExample()
-	res, err := SolveIDA(g, procgraph.Ring(3), Options{})
+	res, err := solveIDA(g, procgraph.Ring(3), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +89,7 @@ func TestDFBBMatchesAStar(t *testing.T) {
 			variants = append(variants, true)
 		}
 		for _, useVisited := range variants {
-			got, err := Solve(g, sys, Options{UseVisited: useVisited})
+			got, err := solve(g, sys, Options{UseVisited: useVisited})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +123,7 @@ func TestIDAMatchesAStar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveIDA(g, sys, Options{})
+		got, err := solveIDA(g, sys, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +144,7 @@ func TestDFBBMatchesBruteforce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Solve(g, sys, Options{})
+		got, err := solve(g, sys, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +159,11 @@ func TestDFBBMatchesBruteforce(t *testing.T) {
 func TestDFBBVisitedAblation(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 10, CCR: 1.0, Seed: 5})
 	sys := procgraph.Complete(3)
-	plain, err := Solve(g, sys, Options{})
+	plain, err := solve(g, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tabled, err := Solve(g, sys, Options{UseVisited: true})
+	tabled, err := solve(g, sys, Options{UseVisited: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +187,7 @@ func TestDFBBVisitedAblation(t *testing.T) {
 func TestDFBBPruningTogglesPreserveOptimum(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 9, CCR: 1.0, Seed: 77})
 	sys := procgraph.Complete(3)
-	want, err := Solve(g, sys, Options{})
+	want, err := solve(g, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +198,7 @@ func TestDFBBPruningTogglesPreserveOptimum(t *testing.T) {
 		core.DisablePriorityOrder,
 		core.DisableAllPruning,
 	} {
-		got, err := Solve(g, sys, Options{Options: core.Options{Disable: dis}})
+		got, err := solve(g, sys, Options{Options: core.Options{Disable: dis}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,11 +214,11 @@ func TestDFBBPruningTogglesPreserveOptimum(t *testing.T) {
 func TestDFBBHPlus(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 10, CCR: 10.0, Seed: 3})
 	sys := procgraph.Complete(3)
-	paper, err := Solve(g, sys, Options{Options: core.Options{HFunc: core.HPaper}})
+	paper, err := solve(g, sys, Options{Options: core.Options{HFunc: core.HPaper}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plus, err := Solve(g, sys, Options{Options: core.Options{HFunc: core.HPlus}})
+	plus, err := solve(g, sys, Options{Options: core.Options{HFunc: core.HPlus}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +236,7 @@ func TestDFBBHPlus(t *testing.T) {
 func TestDFBBCutoffReturnsFeasible(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 12, CCR: 10.0, Seed: 8})
 	sys := procgraph.Complete(4)
-	res, err := Solve(g, sys, Options{Options: core.Options{Stop: func(expanded int64) bool { return expanded >= 1 }}})
+	res, err := solve(g, sys, Options{Options: core.Options{Stop: func(expanded int64) bool { return expanded >= 1 }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +256,7 @@ func TestDFBBDeadlineCutoff(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 12, CCR: 10.0, Seed: 9})
 	sys := procgraph.Complete(4)
 	deadline := time.Now().Add(-time.Second)
-	res, err := Solve(g, sys, Options{Options: core.Options{Stop: func(int64) bool { return time.Now().After(deadline) }}})
+	res, err := solve(g, sys, Options{Options: core.Options{Stop: func(int64) bool { return time.Now().After(deadline) }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +277,7 @@ func TestDFBBHeterogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Solve(g, sys, Options{})
+	got, err := solve(g, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +291,7 @@ func TestDFBBHeterogeneous(t *testing.T) {
 func TestDFBBMemoryProfile(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 11, CCR: 1.0, Seed: 21})
 	sys := procgraph.Complete(3)
-	res, err := Solve(g, sys, Options{})
+	res, err := solve(g, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +313,7 @@ func TestDFBBMemoryProfile(t *testing.T) {
 func TestIDAThresholdsTerminate(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 9, CCR: 10.0, Seed: 4})
 	sys := procgraph.Complete(3)
-	res, err := SolveIDA(g, sys, Options{})
+	res, err := solveIDA(g, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,10 +333,10 @@ func TestIDAThresholdsTerminate(t *testing.T) {
 // (here: a graph exceeding the engine's MaxNodes mask limit).
 func TestDFBBRejectsBadInstances(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: core.MaxNodes + 1, CCR: 1.0, Seed: 1})
-	if _, err := Solve(g, procgraph.Complete(2), Options{}); err == nil {
+	if _, err := solve(g, procgraph.Complete(2), Options{}); err == nil {
 		t.Error("expected error for oversized graph")
 	}
-	if _, err := SolveIDA(g, procgraph.Complete(2), Options{}); err == nil {
+	if _, err := solveIDA(g, procgraph.Complete(2), Options{}); err == nil {
 		t.Error("expected error for oversized graph (IDA*)")
 	}
 }
@@ -331,8 +350,8 @@ func TestUpperBoundBelowOptimumUncertified(t *testing.T) {
 	sys := procgraph.Ring(3)
 	opt := Options{Options: core.Options{UpperBound: 90}}
 	for name, solve := range map[string]func() (*core.Result, error){
-		"dfbb": func() (*core.Result, error) { return Solve(g, sys, opt) },
-		"ida":  func() (*core.Result, error) { return SolveIDA(g, sys, opt) },
+		"dfbb": func() (*core.Result, error) { return solve(g, sys, opt) },
+		"ida":  func() (*core.Result, error) { return solveIDA(g, sys, opt) },
 	} {
 		res, err := solve()
 		if err != nil {

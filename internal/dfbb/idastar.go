@@ -1,40 +1,21 @@
 package dfbb
 
-import (
-	"time"
+import "repro/internal/core"
 
-	"repro/internal/core"
-	"repro/internal/procgraph"
-	"repro/internal/taskgraph"
-)
-
-// SolveIDA runs iterative-deepening A*: depth-first passes bounded by an f
-// threshold that starts at the graph's static lower bound and rises each
-// pass to the smallest f that exceeded it. Memory stays O(v) — no OPEN
-// list, no CLOSED table — at the price of re-expanding the shallow part of
-// the contour once per pass.
+// SearchIDA runs iterative-deepening A* under s: depth-first passes
+// bounded by an f threshold that starts at the graph's static lower bound
+// and rises each pass to the smallest f that exceeded it. Memory stays
+// O(v) — no OPEN list, no CLOSED table — at the price of re-expanding the
+// shallow part of the contour once per pass.
 //
 // Optimality: at the end of a pass, every state with f <= threshold has
 // been explored and every unexplored state has f >= nextThreshold, so once
 // the incumbent's length is <= nextThreshold no unexplored branch can beat
 // it. Passes strictly increase the threshold (bounded by U), guaranteeing
-// termination. Options.UseVisited is ignored: a duplicate table would defeat
-// the engine's purpose.
-func SolveIDA(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*core.Result, error) {
-	m, err := core.NewModel(g, sys)
-	if err != nil {
-		return nil, err
-	}
-	return SolveIDAModel(m, opt)
-}
-
-// SolveIDAModel is SolveIDA for a prebuilt model.
-func SolveIDAModel(m *core.Model, opt Options) (*core.Result, error) {
-	started := time.Now()
-	d, fallback, err := newSearcher(m, opt.Options)
-	if err != nil {
-		return nil, err
-	}
+// termination. It keeps no duplicate table: one would defeat the engine's
+// purpose.
+func SearchIDA(m *core.Model, opt core.Options, s core.Start) core.Outcome {
+	d := newSearcher(m, opt, s)
 
 	d.threshold = m.StaticLowerBound()
 	if d.threshold < 1 {
@@ -51,12 +32,11 @@ func SolveIDAModel(m *core.Model, opt Options) (*core.Result, error) {
 			break // nothing unexplored can beat the incumbent
 		}
 		if d.nextThresh >= d.incumbentLen || d.nextThresh == inf {
-			// Every unexplored branch is at or above the best length in
-			// hand (the incumbent, or the untouched upper bound U, which
-			// the fallback schedule realizes).
+			// Every unexplored branch is at or above the incumbent bound
+			// (the best length in hand, or its seed from U).
 			break
 		}
 		d.threshold = d.nextThresh
 	}
-	return d.result(fallback, started), nil
+	return d.outcome()
 }

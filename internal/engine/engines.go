@@ -12,7 +12,8 @@ import (
 	"repro/internal/parallel"
 )
 
-// funcEngine adapts a solve function plus metadata to the Engine contract.
+// funcEngine adapts a search function plus metadata to the Engine
+// contract.
 type funcEngine struct {
 	name    string
 	section string
@@ -20,49 +21,33 @@ type funcEngine struct {
 	// epsilon, when non-nil, decides from cfg.Epsilon the ε the engine
 	// searches under; nil passes cfg.Epsilon through.
 	epsilon func(cfgEpsilon float64) float64
-	solve   func(m *core.Model, opt core.Options, cfg Config) (*core.Result, error)
+	search  func(m *core.Model, opt core.Options, cfg Config, s core.Start) (core.Outcome, error)
 }
 
 func (e *funcEngine) Name() string { return e.name }
 
 func (e *funcEngine) Describe() (string, string) { return e.section, e.desc }
 
-// Solve runs the engine and validates its result: every engine's result
-// leaves the registry through here, whichever layer asked for it.
+// Solve runs the engine's search through the engine boundary (core.Run),
+// which settles U, certifies the outcome and validates the schedule: every
+// engine's result leaves the registry through here, whichever layer asked
+// for it.
 func (e *funcEngine) Solve(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error) {
 	opt := searchOptions(ctx, cfg)
 	if e.epsilon != nil {
 		opt.Epsilon = e.epsilon(cfg.Epsilon)
 	}
-	res, err := e.solve(m, opt, cfg)
-	if err != nil {
-		return nil, err
+	res, err := core.Run(m, opt, func(s core.Start) (core.Outcome, error) { return e.search(m, opt, cfg, s) })
+	if errors.Is(err, ErrInvalidResult) {
+		return nil, fmt.Errorf("engine %s: %w", e.name, err)
 	}
-	if err := checkResult(res); err != nil {
-		return nil, fmt.Errorf("%w: engine %s: %v", ErrInvalidResult, e.name, err)
-	}
-	return res, nil
+	return res, err
 }
 
 // ErrInvalidResult marks a result an engine returned that is not a
 // feasible schedule of the length it reports: an engine bug, never an
 // input the caller can fix.
-var ErrInvalidResult = errors.New("engine: invalid result")
-
-// checkResult requires res to carry a feasible schedule whose length is
-// the length res reports.
-func checkResult(res *core.Result) error {
-	if res == nil || res.Schedule == nil {
-		return errors.New("no schedule")
-	}
-	if err := res.Schedule.Validate(); err != nil {
-		return err
-	}
-	if res.Schedule.Length != res.Length {
-		return fmt.Errorf("schedule length %d, result reports %d", res.Schedule.Length, res.Length)
-	}
-	return nil
-}
+var ErrInvalidResult = core.ErrInvalidResult
 
 // searchOptions builds from cfg the search settings every engine shares,
 // with the budget checker wired in as Stop. Each engine reads the fields
@@ -90,12 +75,12 @@ func boundedSearch(eps float64) float64 {
 	return eps
 }
 
-func solveAStar(m *core.Model, opt core.Options, _ Config) (*core.Result, error) {
-	return core.SolveModel(m, opt)
+func searchAStar(m *core.Model, opt core.Options, _ Config, s core.Start) (core.Outcome, error) {
+	return core.Search(m, opt, s), nil
 }
 
-func solveNative(m *core.Model, opt core.Options, cfg Config) (*core.Result, error) {
-	return native.Solve(m, native.Options{Options: opt, Workers: cfg.Workers, TracerFor: cfg.TracerFor})
+func searchNative(m *core.Model, opt core.Options, cfg Config, s core.Start) (core.Outcome, error) {
+	return native.Search(m, native.Options{Options: opt, Workers: cfg.Workers, TracerFor: cfg.TracerFor}, s), nil
 }
 
 func init() {
@@ -104,37 +89,37 @@ func init() {
 		section: "§3.1–3.2",
 		desc:    "serial A*: optimal, all prunings, memory grows with generated states",
 		epsilon: exactSearch,
-		solve:   solveAStar,
+		search:  searchAStar,
 	})
 	Register(&funcEngine{
 		name:    "aeps",
 		section: "§3.4",
 		desc:    "serial Aε*: within (1+ε) of optimal (default ε 0.2), FOCAL-list search",
 		epsilon: boundedSearch,
-		solve:   solveAStar,
+		search:  searchAStar,
 	})
 	Register(&funcEngine{
 		name:    "dfbb",
 		section: "§1 (memory)",
 		desc:    "depth-first branch-and-bound: optimal, O(v) retained states",
-		solve: func(m *core.Model, opt core.Options, cfg Config) (*core.Result, error) {
-			return dfbb.SolveModel(m, dfbb.Options{Options: opt, UseVisited: cfg.UseVisited})
+		search: func(m *core.Model, opt core.Options, cfg Config, s core.Start) (core.Outcome, error) {
+			return dfbb.Search(m, dfbb.Options{Options: opt, UseVisited: cfg.UseVisited}, s), nil
 		},
 	})
 	Register(&funcEngine{
 		name:    "ida",
 		section: "§1 (memory)",
 		desc:    "iterative-deepening A*: optimal, no OPEN/CLOSED lists at all",
-		solve: func(m *core.Model, opt core.Options, _ Config) (*core.Result, error) {
-			return dfbb.SolveIDAModel(m, dfbb.Options{Options: opt})
+		search: func(m *core.Model, opt core.Options, _ Config, s core.Start) (core.Outcome, error) {
+			return dfbb.SearchIDA(m, opt, s), nil
 		},
 	})
 	Register(&funcEngine{
 		name:    "bnb",
 		section: "§2, §4.2",
 		desc:    "Chen & Yu branch-and-bound baseline: optimal, expensive per-state bound",
-		solve: func(m *core.Model, opt core.Options, _ Config) (*core.Result, error) {
-			return bnb.SolveModel(m, opt)
+		search: func(m *core.Model, opt core.Options, _ Config, _ core.Start) (core.Outcome, error) {
+			return bnb.Search(m, opt), nil
 		},
 	})
 	Register(&funcEngine{
@@ -142,32 +127,32 @@ func init() {
 		section: "§4.4 (multi-core)",
 		desc:    "work-stealing multi-core A*: optimal, global sharded dedup, scales with real cores",
 		epsilon: exactSearch,
-		solve:   solveNative,
+		search:  searchNative,
 	})
 	Register(&funcEngine{
 		name:    "native-eps",
 		section: "§4.4 (multi-core)",
 		desc:    "work-stealing multi-core Aε*: within (1+ε) of optimal (default ε 0.2)",
 		epsilon: boundedSearch,
-		solve:   solveNative,
+		search:  searchNative,
 	})
 	Register(&funcEngine{
 		name:    "parallel",
 		section: "§3.3, §4.4",
 		desc:    "bulk-synchronous parallel A*/Aε* on q PPE workers (default 4)",
-		solve: func(m *core.Model, opt core.Options, cfg Config) (*core.Result, error) {
+		search: func(m *core.Model, opt core.Options, cfg Config, s core.Start) (core.Outcome, error) {
 			ppes := cfg.PPEs
 			if ppes < 1 {
 				ppes = 4
 			}
-			return parallel.SolveModel(m, parallel.Options{
+			return parallel.Search(m, parallel.Options{
 				Options:      opt,
 				PPEs:         ppes,
 				Interconnect: cfg.Interconnect,
 				PeriodFloor:  cfg.PeriodFloor,
 				Distribution: cfg.Distribution,
 				TracerFor:    cfg.TracerFor,
-			})
+			}, s)
 		},
 	})
 }

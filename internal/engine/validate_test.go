@@ -12,18 +12,18 @@ import (
 )
 
 // corruptEngine runs the A* search and then moves one task's start time
-// off its schedule, so its result is not a feasible schedule.
+// off its schedule, so its outcome is not a feasible schedule.
 func corruptEngine() *funcEngine {
 	return &funcEngine{
 		name:    "test-corrupt",
 		section: "test",
 		desc:    "A* with one start time corrupted after the search",
-		solve: func(m *core.Model, opt core.Options, cfg Config) (*core.Result, error) {
-			res, err := solveAStar(m, opt, cfg)
+		search: func(m *core.Model, opt core.Options, cfg Config, s core.Start) (core.Outcome, error) {
+			out, err := searchAStar(m, opt, cfg, s)
 			if err != nil {
-				return nil, err
+				return out, err
 			}
-			place := res.Schedule.Place
+			place := out.Best.Place
 			last := 0
 			for n := range place {
 				if place[n].Start > place[last].Start {
@@ -31,7 +31,7 @@ func corruptEngine() *funcEngine {
 				}
 			}
 			place[last].Start--
-			return res, nil
+			return out, nil
 		},
 	}
 }

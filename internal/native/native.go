@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/schedule"
 )
 
 // Options configures a native solve: the shared search settings (every
@@ -128,22 +127,19 @@ type solver struct {
 	approxCut atomic.Bool // some state with f < incumbent was discarded (ε only)
 }
 
-// Solve runs the work-stealing parallel A*/Aε* over the shared state space
-// with the same result contract as the serial engine.
-func Solve(m *core.Model, opt Options) (*core.Result, error) {
-	started := time.Now()
-	sv, fallback, err := newSolver(m, opt)
-	if err != nil {
-		return nil, err
-	}
+// Search runs the work-stealing parallel A*/Aε* over the shared state space
+// under the upper bound s.UB, with the same outcome contract as the serial
+// engine.
+func Search(m *core.Model, opt Options, s core.Start) core.Outcome {
+	sv := newSolver(m, opt, s.UB)
 	sv.run()
-	return sv.result(fallback, started), nil
+	return sv.outcome()
 }
 
 // newSolver builds the workers, the sharded visited table, and the seed
-// queue; it is split from Solve so white-box tests can observe the arenas
+// queue; it is split from Search so white-box tests can observe the arenas
 // and workers of a finished solve.
-func newSolver(m *core.Model, opt Options) (*solver, *schedule.Schedule, error) {
+func newSolver(m *core.Model, opt Options, ub int32) *solver {
 	if opt.Workers < 1 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -151,10 +147,6 @@ func newSolver(m *core.Model, opt Options) (*solver, *schedule.Schedule, error) 
 		opt.Workers = maxWorkers
 	}
 	opt.Tracer = nil // see Options
-	ub, fallback, err := core.ResolveUpperBound(m, opt.Options)
-	if err != nil {
-		return nil, nil, err
-	}
 	sv := &solver{
 		m:       m,
 		opt:     opt,
@@ -179,7 +171,7 @@ func newSolver(m *core.Model, opt Options) (*solver, *schedule.Schedule, error) 
 	w0 := sv.workers[0]
 	w0.open.Push(core.Root())
 	w0.refreshQMin()
-	return sv, fallback, nil
+	return sv
 }
 
 // run starts the workers and blocks until every one has exited.
@@ -197,11 +189,11 @@ func (s *solver) run() {
 	wg.Wait()
 }
 
-// result certifies the merged Result after every worker has joined.
+// outcome merges the workers' Stats after every worker has joined.
 // approxCut records that some state whose f was below the incumbent was
 // discarded under the ε margin; without it the space was exhausted (or LB
-// reached the incumbent) and the result is exactly optimal.
-func (s *solver) result(fallback *schedule.Schedule, started time.Time) *core.Result {
+// reached the incumbent) and the outcome is exactly optimal.
+func (s *solver) outcome() core.Outcome {
 	var stats core.Stats
 	for _, w := range s.workers {
 		w.stats.MaxOpen = w.maxOpen
@@ -211,12 +203,15 @@ func (s *solver) result(fallback *schedule.Schedule, started time.Time) *core.Re
 	stats.UpperBound = s.workers[0].exp.UB
 	stats.StaticLB = s.m.StaticLowerBound()
 
-	var best *schedule.Schedule
-	if s.incumbnt != nil {
-		best = s.m.ScheduleOf(s.incumbnt)
+	out := core.Outcome{
+		Proved: s.proved.Load() && !s.cutOff.Load(),
+		Exact:  !s.approxCut.Load(),
+		Stats:  stats,
 	}
-	proved := s.proved.Load() && !s.cutOff.Load()
-	return core.Certify(best, fallback, proved, !s.approxCut.Load(), s.opt.Epsilon, stats, started)
+	if s.incumbnt != nil {
+		out.Best = s.m.ScheduleOf(s.incumbnt)
+	}
+	return out
 }
 
 // offerIncumbent installs c as the shared incumbent when it improves on the

@@ -11,10 +11,17 @@ import (
 	"repro/internal/procgraph"
 )
 
+// solve runs the native search on m through the engine boundary.
+func solve(m *core.Model, opt Options) (*core.Result, error) {
+	return core.Run(m, opt.Options, func(s core.Start) (core.Outcome, error) { return Search(m, opt, s), nil })
+}
+
 // solveSerial is the serial A* reference for one instance.
 func solveSerial(t *testing.T, m *core.Model) *core.Result {
 	t.Helper()
-	ref, err := core.SolveModel(m, core.Options{})
+	ref, err := core.Run(m, core.Options{}, func(s core.Start) (core.Outcome, error) {
+		return core.Search(m, core.Options{}, s), nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +50,7 @@ func TestNativeMatchesSerial(t *testing.T) {
 				}
 				ref := solveSerial(t, m)
 				for _, workers := range []int{1, 2, 4, 7} {
-					res, err := Solve(m, Options{Workers: workers})
+					res, err := solve(m, Options{Workers: workers})
 					if err != nil {
 						t.Fatalf("v=%d seed=%d %s w=%d: %v", v, seed, sys.Name(), workers, err)
 					}
@@ -75,7 +82,7 @@ func TestNativeEpsilonBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := solveSerial(t, m)
-		res, err := Solve(m, Options{Options: core.Options{Epsilon: 0.2}, Workers: 4})
+		res, err := solve(m, Options{Options: core.Options{Epsilon: 0.2}, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +99,7 @@ func TestNativeEpsilonBound(t *testing.T) {
 }
 
 // TestNativeCancellation cuts a hard solve off mid-search and proves the
-// whole machine winds down: Solve returns promptly with a valid non-optimal
+// whole machine winds down: the solve returns promptly with a valid non-optimal
 // incumbent, every worker goroutine exits, and every worker arena is
 // released to the garbage collector.
 func TestNativeCancellation(t *testing.T) {
@@ -108,22 +115,25 @@ func TestNativeCancellation(t *testing.T) {
 		// before a v=24 proof is plausible.
 		return cut.Load() || expanded > 3000
 	}
-	sv, fallback, err := newSolver(m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Watch every worker arena: all must become garbage once the solve's
 	// references are dropped, proving no worker or global structure leaks
 	// a state reference past the solve.
-	released := make(chan int, len(sv.workers))
-	for i, w := range sv.workers {
-		runtime.AddCleanup(w.exp.Arena(), func(id int) { released <- id }, i)
-	}
+	var sv *solver
+	released := make(chan int, opt.Workers)
 	time.AfterFunc(200*time.Millisecond, func() { cut.Store(true) })
 
 	start := time.Now()
-	sv.run()
-	res := sv.result(fallback, start)
+	res, err := core.Run(m, opt.Options, func(s core.Start) (core.Outcome, error) {
+		sv = newSolver(m, opt, s.UB)
+		for i, w := range sv.workers {
+			runtime.AddCleanup(w.exp.Arena(), func(id int) { released <- id }, i)
+		}
+		sv.run()
+		return sv.outcome(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if since := time.Since(start); since > 10*time.Second {
 		t.Fatalf("cancelled solve took %v", since)
 	}
@@ -172,10 +182,7 @@ func TestNativeWorkerClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, _, err := newSolver(m, Options{Workers: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv := newSolver(m, Options{Workers: 1 << 20}, 0)
 	if len(sv.workers) != maxWorkers {
 		t.Fatalf("solver built %d workers for a 2^20 request, want the %d cap", len(sv.workers), maxWorkers)
 	}
@@ -190,7 +197,7 @@ func TestNativeUpperBoundFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(m, Options{Options: core.Options{UpperBound: 1}, Workers: 2})
+	res, err := solve(m, Options{Options: core.Options{UpperBound: 1}, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +220,7 @@ func TestNativeStatsSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(m, Options{Workers: 4})
+	res, err := solve(m, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,9 @@ package parallel
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/procgraph"
-	"repro/internal/schedule"
-	"repro/internal/taskgraph"
 )
 
 // Distribution selects how newly generated states are placed on PPEs.
@@ -162,29 +159,20 @@ func (w *ppe) runLocal(m *core.Model, budget int, hash bool, q int) int {
 	return done
 }
 
-// Solve runs the parallel A*/Aε* and returns the schedule with the same
-// guarantees as the serial engine.
-func Solve(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*core.Result, error) {
-	m, err := core.NewModel(g, sys)
-	if err != nil {
-		return nil, err
-	}
-	return SolveModel(m, opt)
-}
-
-// SolveModel is Solve for a prebuilt model.
-func SolveModel(m *core.Model, opt Options) (*core.Result, error) {
-	started := time.Now()
+// Search runs the parallel A*/Aε* under the upper bound s.UB, with the
+// same outcome contract as the serial engine. It fails only on a machine
+// model that opt does not describe consistently.
+func Search(m *core.Model, opt Options, s core.Start) (core.Outcome, error) {
 	q := opt.PPEs
 	if q < 1 {
-		return nil, fmt.Errorf("parallel: need at least 1 PPE, got %d", q)
+		return core.Outcome{}, fmt.Errorf("parallel: need at least 1 PPE, got %d", q)
 	}
 	inter := opt.Interconnect
 	if inter == nil {
 		inter = procgraph.MeshFor(q)
 	}
 	if inter.NumProcs() != q {
-		return nil, fmt.Errorf("parallel: interconnect has %d PPEs, options say %d", inter.NumProcs(), q)
+		return core.Outcome{}, fmt.Errorf("parallel: interconnect has %d PPEs, options say %d", inter.NumProcs(), q)
 	}
 	floor := opt.PeriodFloor
 	if floor < 1 {
@@ -193,10 +181,7 @@ func SolveModel(m *core.Model, opt Options) (*core.Result, error) {
 	hash := opt.Distribution == DistributeHash
 
 	opt.Tracer = nil // see Options
-	ub, fallback, err := core.ResolveUpperBound(m, opt.Options)
-	if err != nil {
-		return nil, err
-	}
+	ub := s.UB
 
 	workers := make([]*ppe, q)
 	for i := range workers {
@@ -380,19 +365,17 @@ func SolveModel(m *core.Model, opt Options) (*core.Result, error) {
 	if meter != nil {
 		publish(gmin)
 	}
-	stats := totals()
-	stats.Rounds = rounds
-	stats.CriticalWork = critWork
-	stats.UpperBound = ub
-	stats.StaticLB = m.StaticLowerBound()
-	var best *schedule.Schedule
-	exact := false
+	out := core.Outcome{Proved: proved, Stats: totals()}
+	out.Stats.Rounds = rounds
+	out.Stats.CriticalWork = critWork
+	out.Stats.UpperBound = ub
+	out.Stats.StaticLB = m.StaticLowerBound()
 	if incumbent != nil {
-		best = m.ScheduleOf(incumbent)
+		out.Best = m.ScheduleOf(incumbent)
 		gmin, anyOpen := globalMinF(workers)
-		exact = !anyOpen || incumbent.F() <= gmin
+		out.Exact = !anyOpen || incumbent.F() <= gmin
 	}
-	return core.Certify(best, fallback, proved, exact, opt.Epsilon, stats, started), nil
+	return out, nil
 }
 
 // seedSearch expands best-first from the root until at least want states are

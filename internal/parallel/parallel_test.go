@@ -6,7 +6,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/procgraph"
+	"repro/internal/taskgraph"
 )
+
+// solve runs the parallel search on (g, sys) through the engine boundary.
+func solve(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*core.Result, error) {
+	m, err := core.NewModel(g, sys)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(m, opt.Options, func(s core.Start) (core.Outcome, error) { return Search(m, opt, s) })
+}
 
 // TestPaperExample2PPEs reproduces the §3.3 worked example: the parallel A*
 // with 2 PPEs on the Figure 1 DAG and the 3-processor ring must find the
@@ -14,7 +24,7 @@ import (
 func TestPaperExample2PPEs(t *testing.T) {
 	g := gen.PaperExample()
 	sys := procgraph.Ring(3)
-	res, err := Solve(g, sys, Options{PPEs: 2})
+	res, err := solve(g, sys, Options{PPEs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +53,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("serial not optimal on v=%d ccr=%g", v, ccr)
 			}
 			for _, q := range ppes {
-				par, err := Solve(g, sys, Options{PPEs: q})
+				par, err := solve(g, sys, Options{PPEs: q})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,7 +83,7 @@ func TestParallelEpsilonBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Solve(g, sys, Options{Options: core.Options{Epsilon: eps}, PPEs: 4})
+			par, err := solve(g, sys, Options{Options: core.Options{Epsilon: eps}, PPEs: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +119,7 @@ func TestParallelTopologies(t *testing.T) {
 		procgraph.Star(4),
 	}
 	for _, inter := range inters {
-		res, err := Solve(g, sys, Options{PPEs: 4, Interconnect: inter})
+		res, err := solve(g, sys, Options{PPEs: 4, Interconnect: inter})
 		if err != nil {
 			t.Fatalf("%s: %v", inter.Name(), err)
 		}
@@ -126,11 +136,11 @@ func TestParallelTopologies(t *testing.T) {
 func TestParallelDeterministic(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 10, CCR: 0.1, Seed: 5})
 	sys := procgraph.Complete(3)
-	a, err := Solve(g, sys, Options{PPEs: 4})
+	a, err := solve(g, sys, Options{PPEs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, sys, Options{PPEs: 4})
+	b, err := solve(g, sys, Options{PPEs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +161,7 @@ func TestParallelDeterministic(t *testing.T) {
 func TestParallelCutoff(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 20, CCR: 10.0, Seed: 3})
 	sys := procgraph.Complete(6)
-	res, err := Solve(g, sys, Options{Options: core.Options{Stop: func(expanded int64) bool { return expanded >= 50 }}, PPEs: 4})
+	res, err := solve(g, sys, Options{Options: core.Options{Stop: func(expanded int64) bool { return expanded >= 50 }}, PPEs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +185,7 @@ func TestSinglePPEEqualsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Solve(g, sys, Options{PPEs: 1})
+	par, err := solve(g, sys, Options{PPEs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +206,7 @@ func TestDistributeHashMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range []int{2, 4} {
-				par, err := Solve(g, sys, Options{PPEs: q, Distribution: DistributeHash})
+				par, err := solve(g, sys, Options{PPEs: q, Distribution: DistributeHash})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,11 +231,11 @@ func TestDistributeHashReducesDuplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paperMode, err := Solve(g, sys, Options{PPEs: 8})
+	paperMode, err := solve(g, sys, Options{PPEs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashMode, err := Solve(g, sys, Options{PPEs: 8, Distribution: DistributeHash})
+	hashMode, err := solve(g, sys, Options{PPEs: 8, Distribution: DistributeHash})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +252,7 @@ func TestDistributeHashReducesDuplication(t *testing.T) {
 func TestCriticalWorkAccounting(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 10, CCR: 0.1, Seed: 5})
 	sys := procgraph.Complete(3)
-	res, err := Solve(g, sys, Options{PPEs: 4})
+	res, err := solve(g, sys, Options{PPEs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestEpsilonWithHashDistribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(g, sys, Options{Options: core.Options{Epsilon: eps}, PPEs: 4, Distribution: DistributeHash})
+		res, err := solve(g, sys, Options{Options: core.Options{Epsilon: eps}, PPEs: 4, Distribution: DistributeHash})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestPeriodFloorVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, floor := range []int{1, 2, 8, 64} {
-		res, err := Solve(g, sys, Options{PPEs: 3, PeriodFloor: floor})
+		res, err := solve(g, sys, Options{PPEs: 3, PeriodFloor: floor})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,11 +62,11 @@ func TestPeriodFloorVariants(t *testing.T) {
 func TestRoundsShrinkWithLargerFloor(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 12, CCR: 0.1, Seed: 5})
 	sys := procgraph.Complete(3)
-	small, err := Solve(g, sys, Options{PPEs: 2, PeriodFloor: 1})
+	small, err := solve(g, sys, Options{PPEs: 2, PeriodFloor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Solve(g, sys, Options{PPEs: 2, PeriodFloor: 256})
+	large, err := solve(g, sys, Options{PPEs: 2, PeriodFloor: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDeadlineCutoffReturnsFeasible(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 16, CCR: 10.0, Seed: 2})
 	sys := procgraph.Complete(4)
 	deadline := time.Now().Add(-time.Second)
-	res, err := Solve(g, sys, Options{Options: core.Options{Stop: func(int64) bool { return time.Now().After(deadline) }}, PPEs: 4})
+	res, err := solve(g, sys, Options{Options: core.Options{Stop: func(int64) bool { return time.Now().After(deadline) }}, PPEs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +104,10 @@ func TestDeadlineCutoffReturnsFeasible(t *testing.T) {
 func TestInterconnectMismatchRejected(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 8, CCR: 1.0, Seed: 1})
 	sys := procgraph.Complete(3)
-	if _, err := Solve(g, sys, Options{PPEs: 4, Interconnect: procgraph.Ring(3)}); err == nil {
+	if _, err := solve(g, sys, Options{PPEs: 4, Interconnect: procgraph.Ring(3)}); err == nil {
 		t.Error("mismatched interconnect accepted")
 	}
-	if _, err := Solve(g, sys, Options{PPEs: 0}); err == nil {
+	if _, err := solve(g, sys, Options{PPEs: 0}); err == nil {
 		t.Error("zero PPEs accepted")
 	}
 }
@@ -120,7 +120,7 @@ func TestManyPPEsOnTinyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(b, procgraph.Ring(3), Options{PPEs: 16})
+	res, err := solve(b, procgraph.Ring(3), Options{PPEs: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestManyPPEsOnTinyGraph(t *testing.T) {
 func TestStatesSharedAccounting(t *testing.T) {
 	g := gen.MustRandom(gen.RandomConfig{V: 10, CCR: 0.1, Seed: 13})
 	sys := procgraph.Complete(3)
-	res, err := Solve(g, sys, Options{PPEs: 4})
+	res, err := solve(g, sys, Options{PPEs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -59,15 +60,37 @@ const CacheBypass = "bypass"
 // digest pair (graph structure + processor system, the same FNV-1a
 // digests the pool's model memo uses, computed once when the instance was
 // admitted) plus a digest of everything else that shapes the answer — the
-// engine selection and the full wire budget. Two submissions with equal
-// keys ask the same question of instances the cache then compares
-// exactly, so the cached result is returned verbatim (modulo the job ID).
+// engine selection and every JobConfig field, mixed in one by one with
+// list lengths (TestCacheKeyCoversConfig fails on a field left out). Keys
+// live only in memory, so the digest may change between builds. Two
+// submissions with equal keys ask the same question of instances the
+// cache then compares exactly, so the cached result is returned verbatim
+// (modulo the job ID).
 func cacheKey(in *instance, engines []string, cfg JobConfig) solverpool.CacheKey {
-	blob, _ := json.Marshal(struct {
-		Engines []string  `json:"engines"`
-		Config  JobConfig `json:"config"`
-	}{engines, cfg})
-	return solverpool.CacheKey{Graph: in.graphDigest, System: in.systemDigest, Config: solverpool.BytesDigest(blob)}
+	d := solverpool.NewDigest()
+	d.AddUint64(uint64(len(engines)))
+	for _, name := range engines {
+		d.AddString(name)
+	}
+	d.AddUint64(math.Float64bits(cfg.Epsilon))
+	d.AddUint64(uint64(cfg.MaxExpanded))
+	d.AddUint64(uint64(cfg.TimeoutMS))
+	d.AddUint64(uint64(cfg.PPEs))
+	d.AddUint64(uint64(cfg.Workers))
+	var flags uint64
+	if cfg.NoPruning {
+		flags |= 1
+	}
+	if cfg.HPlus {
+		flags |= 2
+	}
+	d.AddUint64(flags)
+	d.AddString(cfg.HFunc)
+	d.AddUint64(uint64(len(cfg.Disable)))
+	for _, name := range cfg.Disable {
+		d.AddString(name)
+	}
+	return solverpool.CacheKey{Graph: in.graphDigest, System: in.systemDigest, Config: uint64(d)}
 }
 
 // JobConfig is the budget/variant surface of engine.Config a network

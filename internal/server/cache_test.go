@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -274,6 +275,52 @@ func TestFinishPublishesCacheAndPersistFirst(t *testing.T) {
 		}
 		if _, ok := srv.cache.Get(j.cacheKey, inst.graph, inst.system); ok {
 			t.Errorf("%s job was cached", tc.name)
+		}
+	}
+}
+
+// TestCacheKeyCoversConfig holds cacheKey to the configuration it
+// digests: equal submissions share a key, and changing any one JobConfig
+// field, the engine list, or the list's order changes it. The fields are
+// walked by reflection, so a field added to JobConfig but not to cacheKey
+// fails here.
+func TestCacheKeyCoversConfig(t *testing.T) {
+	inst := newInstance(gen.PaperExample(), procgraph.Ring(3))
+	engines := []string{"astar", "dfbb"}
+	cfg := JobConfig{Epsilon: 0.1, HFunc: "paper", Disable: []string{"iso"}}
+	base := cacheKey(inst, engines, cfg)
+	same := JobConfig{Epsilon: 0.1, HFunc: "paper", Disable: []string{"iso"}}
+	if got := cacheKey(inst, []string{"astar", "dfbb"}, same); got != base {
+		t.Fatalf("equal submissions: keys %+v and %+v", got, base)
+	}
+
+	for _, list := range [][]string{{"dfbb", "astar"}, {"astar"}, {"astar", "dfbb", "ida"}, {"astar", "dfb", "b"}} {
+		if cacheKey(inst, list, cfg) == base {
+			t.Errorf("engines %q share the key of %q", list, engines)
+		}
+	}
+
+	typ := reflect.TypeOf(cfg)
+	for i := 0; i < typ.NumField(); i++ {
+		changed := cfg
+		changed.Disable = append([]string(nil), cfg.Disable...)
+		f := reflect.ValueOf(&changed).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.5)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 7)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Slice:
+			f.Set(reflect.Append(f, reflect.ValueOf("fto")))
+		default:
+			t.Fatalf("JobConfig.%s: kind %s not covered by this test", typ.Field(i).Name, f.Kind())
+		}
+		if cacheKey(inst, engines, changed) == base {
+			t.Errorf("changing JobConfig.%s leaves the cache key unchanged", typ.Field(i).Name)
 		}
 	}
 }

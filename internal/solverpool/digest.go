@@ -31,13 +31,25 @@ func InstanceDigest(g *taskgraph.Graph, sys *procgraph.System) (graph, system ui
 	return k.graph, k.system
 }
 
-// BytesDigest fingerprints an arbitrary byte string with the same FNV-1a
-// family the instance digests use; the server digests its canonical solve
-// configuration (engine list + wire budget) through it.
-func BytesDigest(b []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(b)
-	return h.Sum64()
+// Digest is an FNV-1a digest of the family the instance digests use, for
+// callers keying their own stores next to them: the server mixes its solve
+// configuration (engine list + wire budget) into one field by field.
+type Digest uint64
+
+// NewDigest returns the digest of nothing.
+func NewDigest() Digest { return 14695981039346656037 }
+
+// AddUint64 mixes v into d.
+func (d *Digest) AddUint64(v uint64) { mix((*uint64)(d), v) }
+
+// AddString mixes s into d, length first, so that no two sequences of
+// strings mix the same bytes.
+func (d *Digest) AddString(s string) {
+	d.AddUint64(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		*d ^= Digest(s[i])
+		*d *= 1099511628211
+	}
 }
 
 func instanceKey(g *taskgraph.Graph, sys *procgraph.System) modelKey {

@@ -1,13 +1,14 @@
 package trace
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/parallel"
 	"repro/internal/procgraph"
 )
 
@@ -168,7 +169,7 @@ func TestDOTRendering(t *testing.T) {
 func TestFigure5ParallelTrace(t *testing.T) {
 	g := gen.PaperExample()
 	rec := NewRecorder(g)
-	res, err := parallel.Solve(g, procgraph.Ring(3), parallel.Options{
+	res, err := engine.Solve(context.Background(), "parallel", g, procgraph.Ring(3), engine.Config{
 		PPEs:      2,
 		TracerFor: rec.ForPPE,
 	})
