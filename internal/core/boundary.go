@@ -11,7 +11,7 @@ import (
 
 // The engine boundary. Every engine — the registry's and Solve — runs its
 // search through Run, which owns everything around it: the wall clock, the
-// §3.2 upper bound U and the list schedule held in reserve, the Result and
+// §3.2 upper bound U and the schedule held in reserve, the Result and
 // its certificate, and the feasibility check. An engine only searches: it
 // takes the Start that Run settled and returns an Outcome.
 
@@ -35,9 +35,10 @@ type Start struct {
 	// UB is the §3.2 upper bound U, 0 when disabled: the search may discard
 	// any state with f > UB.
 	UB int32
-	// Fallback is the length of the list schedule Run returns when the
-	// search finds none. A search that looks only for schedules shorter
-	// than UB loses nothing when Fallback <= UB (see Run).
+	// Fallback is the length of the schedule Run returns when the search
+	// finds none, the one that realizes U unless a caller overrides U. A
+	// search that looks only for schedules shorter than UB loses nothing
+	// when Fallback <= UB (see Run).
 	Fallback int32
 }
 
@@ -61,11 +62,11 @@ var ErrInvalidResult = errors.New("engine: invalid result")
 // and checks that the Result is a feasible schedule of the length it
 // reports.
 //
-// Without a schedule from the search, the list schedule is returned, so a
-// cut-off search still yields a feasible one. It comes with no guarantee,
-// except when the search was proven and the list schedule is no longer
-// than U: the search exhausted without finding a schedule shorter than U,
-// so the list schedule is optimal. Only a search that looks for schedules
+// Without a schedule from the search, the schedule ResolveUpperBound
+// returned is, so a cut-off search still yields a feasible one. It comes
+// with no guarantee, except when the search was proven and that schedule is
+// no longer than U: the search exhausted without finding a schedule shorter
+// than U, so it is optimal. Only a search that looks for schedules
 // shorter than U can end that way (dfbb and ida); the A*-family engines
 // keep states with f = U, so they always find one when it exists.
 //
@@ -108,11 +109,14 @@ func Run(m *Model, opt Options, search func(Start) (Outcome, error)) (*Result, e
 	return res, nil
 }
 
-// ResolveUpperBound computes the §3.2 upper bound U via the linear-time list
-// heuristic (unless overridden or disabled) and returns the heuristic
-// schedule, which Run holds in reserve for a search that finds none.
+// ResolveUpperBound computes the §3.2 upper bound U, the length of
+// listsched.UpperBound's schedule (the shorter of the b-level list schedule
+// and the one-PE schedule), unless Options.UpperBound overrides it or
+// DisableUpperBound switches it off. It returns that schedule too, which
+// Run holds in reserve for a search that finds none. Pruning against U
+// stays exact because U is the length of a feasible schedule.
 func ResolveUpperBound(m *Model, opt Options) (int32, *schedule.Schedule, error) {
-	ls, err := listsched.Schedule(m.G, m.Sys, listsched.Options{Priority: listsched.PriorityBLevel})
+	ls, err := listsched.UpperBound(m.G, m.Sys)
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: upper-bound heuristic failed: %w", err)
 	}

@@ -135,7 +135,8 @@ type Options struct {
 	Epsilon float64
 	// HFunc selects the heuristic; the default is the paper's.
 	HFunc HFunc
-	// UpperBound, when > 0, overrides the list-scheduling upper bound U.
+	// UpperBound, when > 0, overrides the §3.2 upper bound U
+	// (ResolveUpperBound).
 	UpperBound int32
 	// Stop, when non-nil, is polled once per expansion with the running
 	// expansion count; returning true aborts the search, which then returns
@@ -450,7 +451,8 @@ func (e *Expander) Expand(s *State, visited *Visited, emit func(*State)) int {
 // ftoFirst checks the fixed-task-order condition on the surviving ready set
 // and, when it holds, returns the index in e.ready of the single node the
 // whole set collapses to: every ready node has at most one parent and one
-// child, all present children coincide, all present parents sit on one PE,
+// child, either no ready node has a child or all share one, all present
+// parents sit on one PE,
 // and sorting by (data-ready time ascending, out-edge cost descending)
 // yields non-increasing out-edge costs — in which case an optimal schedule
 // starts the ready nodes in exactly that order (arXiv 2405.15371), so
@@ -459,22 +461,26 @@ func (e *Expander) Expand(s *State, visited *Visited, emit func(*State)) int {
 // classic systems ftoEligible admits; on the parents' own PE every ready
 // node is ready at once, since that PE is busy until its last parent
 // ends. Parents on two PEs would break this: a node may start on its own
-// parent's PE before data reaches it anywhere else.
+// parent's PE before data reaches it anywhere else. So would a childless
+// node beside the child's parents: the child does not wait for it, so it
+// may finish after them at no cost, whatever its data-ready time.
 //
 //icpp98:hotpath
 func (e *Expander) ftoFirst() (int32, bool) {
 	m := e.M
 	sharedChild, parentPE := int32(-1), int32(-1)
+	childless := false
 	for _, n := range e.ready {
 		if !m.ftoOK[n] {
 			return 0, false
 		}
-		if c := m.ftoChild[n]; c >= 0 {
-			if sharedChild < 0 {
-				sharedChild = c
-			} else if sharedChild != c {
-				return 0, false
-			}
+		switch c := m.ftoChild[n]; {
+		case c < 0:
+			childless = true
+		case sharedChild < 0:
+			sharedChild = c
+		case sharedChild != c:
+			return 0, false
 		}
 		if p := m.ftoParent[n]; p >= 0 {
 			if parentPE < 0 {
@@ -483,6 +489,9 @@ func (e *Expander) ftoFirst() (int32, bool) {
 				return 0, false
 			}
 		}
+	}
+	if childless && sharedChild >= 0 {
+		return 0, false
 	}
 	// Insertion sort into the scratch arrays by (drt asc, out desc, id asc);
 	// ready sets are small and the arrays are preallocated, so the hot path

@@ -32,7 +32,7 @@ type ProgressSnapshot struct {
 	PrunedEquiv int64 `json:"pruned_equiv,omitempty"`
 	PrunedFTO   int64 `json:"pruned_fto,omitempty"`
 	// Incumbent is the best complete schedule length in hand (including the
-	// list-scheduling bound U); 0 before any.
+	// upper bound U); 0 before any.
 	Incumbent int32 `json:"incumbent,omitempty"`
 	// BestF is the largest proven lower bound on the optimum a best-first
 	// search has reached; 0 from the depth-first engines and bnb, whose

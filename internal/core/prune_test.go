@@ -165,6 +165,18 @@ func TestFTOCollapsePreservesOptimum(t *testing.T) {
 	split.AddEdge(3, 5, 2)
 	split.AddEdge(4, 2, 0)
 	insts = append(insts, inst{split.MustBuild(), procgraph.Complete(3)})
+	// A childless ready task beside its sibling's join: n1 and n4 share
+	// parent n0, only n4 feeds n2. Ordering them by remote data-ready time
+	// (n1 before n4) loses the optimum 30, which runs n4 then n1 on n0's PE
+	// so that n2 starts at 20 elsewhere. The collapse must not fire here.
+	childless := taskgraph.NewBuilder("childless-sibling")
+	for _, w := range []int32{10, 1, 10, 1, 10, 10} {
+		childless.AddNode(w)
+	}
+	childless.AddEdge(0, 1, 20)
+	childless.AddEdge(0, 4, 100)
+	childless.AddEdge(4, 2, 0)
+	insts = append(insts, inst{childless.MustBuild(), procgraph.Complete(3)})
 
 	sawCollapse := false
 	for _, in := range insts {

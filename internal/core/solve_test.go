@@ -191,7 +191,7 @@ func TestEpsilonReducesWork(t *testing.T) {
 		exactTotal, approxTotal, float64(approxTotal)/float64(exactTotal))
 }
 
-// TestUpperBoundIsAchievable: the list-scheduling U must upper-bound the
+// TestUpperBoundIsAchievable: U must upper-bound the
 // optimum, and the optimum must never exceed it.
 func TestUpperBoundIsAchievable(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
@@ -205,8 +205,8 @@ func TestUpperBoundIsAchievable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Length > ub {
-			t.Errorf("seed=%d: optimal %d exceeds list-scheduling bound %d", seed, res.Length, ub)
+		if res.Length > ub.Length {
+			t.Errorf("seed=%d: optimal %d exceeds the upper bound %d", seed, res.Length, ub.Length)
 		}
 		if res.Length < res.Stats.StaticLB {
 			t.Errorf("seed=%d: optimal %d below static lower bound %d", seed, res.Length, res.Stats.StaticLB)

@@ -14,12 +14,12 @@
 // same Result/Stats reporting.
 //
 // DFBB explores children best-f-first and prunes against a falling
-// incumbent, seeded with the §3.2 list-scheduling upper bound U: a branch
-// with f >= incumbent cannot improve on a complete schedule already in
-// hand. When the list schedule is no longer than U, a search that
-// exhausts without beating U proves that schedule optimal (core.Run
-// returns it); when a caller's U is below the list schedule, the seed is
-// U+1, so schedules of length U are still found.
+// incumbent, seeded with the §3.2 upper bound U: a branch with f >=
+// incumbent cannot improve on a complete schedule already in hand. When
+// the schedule core.Run holds in reserve is no longer than U, a search
+// that exhausts without beating U proves that schedule optimal (core.Run
+// returns it); when a caller's U is below the reserve schedule, the seed
+// is U+1, so schedules of length U are still found.
 //
 // IDA* runs successive depth-first passes bounded by an f threshold,
 // raising the threshold each pass to the smallest f that exceeded it. The
@@ -100,8 +100,8 @@ func newSearcher(m *core.Model, opt core.Options, s core.Start) *searcher {
 		meter:        opt.Progress.Meter(),
 	}
 	if s.UB > 0 {
-		// Look for schedules shorter than U when the list schedule realizes
-		// one no longer than U, and no longer than U otherwise.
+		// Look for schedules shorter than U when the reserve schedule is one
+		// no longer than U, and no longer than U otherwise.
 		d.incumbentLen = s.UB
 		if s.Fallback > s.UB {
 			d.incumbentLen++

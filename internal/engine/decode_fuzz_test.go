@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/listsched"
 	"repro/internal/procgraph"
 	"repro/internal/stg"
 	"repro/internal/taskgraph"
@@ -38,15 +39,23 @@ func fuzzSeeds(t testing.TB) []*taskgraph.Graph {
 }
 
 // checkDecoded is the decoders' property: an input the decoder accepts and
-// admission (core.CheckInstance on complete:3) accepts is solvable —
-// astar under a 300-expansion budget returns a valid schedule — and, for
-// v <= 6, a result proven optimal has the brute-force optimum's length.
-// An input either step rejects is fine; a panic or an invalid schedule is
-// not.
+// admission (core.CheckInstance on complete:3) accepts is solvable. U's
+// schedule (listsched.UpperBound) is valid, and astar under a
+// 300-expansion budget returns a valid schedule no longer than U. For
+// v <= 6, neither U nor astar's length beats the brute-force optimum, and a
+// result proven optimal has its length. An input either step rejects is
+// fine; a panic or an invalid schedule is not.
 func checkDecoded(t *testing.T, g *taskgraph.Graph) {
 	sys := procgraph.Complete(3)
 	if core.CheckInstance(g, sys) != nil {
 		return
+	}
+	ub, err := listsched.UpperBound(g, sys)
+	if err != nil {
+		t.Fatalf("upper bound on an admitted instance: %v", err)
+	}
+	if err := ub.Validate(); err != nil {
+		t.Fatalf("U's schedule is invalid: %v", err)
 	}
 	res, err := engine.Solve(context.Background(), "astar", g, sys, engine.Config{MaxExpanded: 300})
 	if err != nil {
@@ -55,14 +64,22 @@ func checkDecoded(t *testing.T, g *taskgraph.Graph) {
 	if err := res.Schedule.Validate(); err != nil {
 		t.Fatalf("astar returned an invalid schedule: %v", err)
 	}
-	if g.NumNodes() > 6 || !res.Optimal {
+	if res.Length > ub.Length {
+		t.Fatalf("astar returned length %d, longer than U = %d", res.Length, ub.Length)
+	}
+	if g.NumNodes() > 6 {
 		return
 	}
 	want, err := bruteforce.Solve(g, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Length != want.Length {
+	switch {
+	case ub.Length < want.Length:
+		t.Fatalf("U = %d is below the brute-force optimum %d", ub.Length, want.Length)
+	case res.Length < want.Length:
+		t.Fatalf("astar returned length %d, below the brute-force optimum %d", res.Length, want.Length)
+	case res.Optimal && res.Length != want.Length:
 		t.Fatalf("astar proved length %d optimal, brute force finds %d", res.Length, want.Length)
 	}
 }
@@ -97,6 +114,25 @@ func FuzzReadSTG(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, edgeCost int32, keepDummies bool) {
 		g, err := stg.Read(bytes.NewReader(data), stg.ImportOptions{EdgeCost: edgeCost, KeepDummies: keepDummies})
+		if err != nil {
+			return
+		}
+		checkDecoded(t, g)
+	})
+}
+
+// FuzzGraphJSON feeds arbitrary bytes to the JSON graph decoder, the form
+// the daemon's submit endpoint, job store and cluster leases carry.
+func FuzzGraphJSON(f *testing.F) {
+	for _, g := range fuzzSeeds(f) {
+		data, err := g.MarshalJSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := taskgraph.FromJSON(data)
 		if err != nil {
 			return
 		}

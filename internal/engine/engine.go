@@ -43,7 +43,7 @@ type Engine interface {
 	Name() string
 	// Solve searches the model under cfg. Cancelling ctx stops the search
 	// promptly; the engine then returns its best incumbent (or the
-	// list-scheduling fallback) with Optimal=false rather than an error.
+	// schedule that set U) with Optimal=false rather than an error.
 	Solve(ctx context.Context, m *core.Model, cfg Config) (*core.Result, error)
 }
 
@@ -70,8 +70,8 @@ type Config struct {
 	Epsilon float64
 	// HFunc selects the heuristic function (all but bnb).
 	HFunc core.HFunc
-	// UpperBound, when > 0, overrides the list-scheduling upper bound U
-	// (all but bnb).
+	// UpperBound, when > 0, overrides the §3.2 upper bound U (all but
+	// bnb).
 	UpperBound int32
 
 	// MaxExpanded, when > 0, aborts the search after that many expansions

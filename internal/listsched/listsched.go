@@ -1,11 +1,12 @@
-// Package listsched implements the linear-time list-scheduling heuristic the
-// paper uses to obtain the upper-bound solution cost U for pruning (§3.2,
-// ref. [14] "FAST"): (1) build a task list ordered by decreasing priority,
-// (2) schedule each ready task to the processor allowing its earliest start
-// time. It also serves as the polynomial-time heuristic baseline in the
-// examples, with the priority attributes discussed in §3.2 (b-level,
-// b-level + t-level, static level) and an optional insertion variant that
-// fills idle gaps.
+// Package listsched implements the list-scheduling heuristic the paper uses
+// to obtain the upper-bound solution cost U for pruning (§3.2, ref. [14]
+// "FAST"): (1) build a task list ordered by decreasing priority, (2)
+// schedule each ready task to the processor allowing its earliest start
+// time. UpperBound, the one definition of U, takes the shorter of that
+// schedule and the one-PE schedule. The heuristic also serves as the
+// polynomial-time baseline in the examples, with the priority attributes
+// discussed in §3.2 (b-level, b-level + t-level, static level) and an
+// optional insertion variant that fills idle gaps.
 package listsched
 
 import (
@@ -125,14 +126,46 @@ func Schedule(g *taskgraph.Graph, sys *procgraph.System, opt Options) (*schedule
 	return s, nil
 }
 
-// UpperBound returns the schedule length of the default heuristic, the U of
-// §3.2 ("the upper bound cost can be determined in a linear time").
-func UpperBound(g *taskgraph.Graph, sys *procgraph.System) (int32, error) {
+// UpperBound returns the schedule whose length is the U of §3.2: the
+// shorter of the b-level list schedule (the paper's heuristic) and the
+// one-PE schedule, every task in topological order back to back on the PE
+// with the smallest total execution cost. At high CCR the list schedule
+// pays for messages the one-PE schedule never sends, and the latter is the
+// shorter on most instances. A tie keeps the list schedule. The one-PE
+// length is summed first and its placements are written over the list
+// schedule's only when it wins.
+func UpperBound(g *taskgraph.Graph, sys *procgraph.System) (*schedule.Schedule, error) {
+	pe, onePE := cheapestPE(g, sys)
 	s, err := Schedule(g, sys, Options{Priority: PriorityBLevel})
-	if err != nil {
-		return 0, err
+	if err != nil || onePE >= int64(s.Length) {
+		return s, err
 	}
-	return s.Length, nil
+	var t int32
+	for _, n := range g.TopoOrder() {
+		exec := sys.ExecCost(g.Weight(n), pe)
+		s.Place[n] = schedule.Placement{Proc: int32(pe), Start: t, Finish: t + exec}
+		t += exec
+	}
+	s.Length = t
+	return s, nil
+}
+
+// cheapestPE returns the PE on which the tasks' execution costs sum least,
+// and that sum. ExecCost, ⌈w·speed⌉ and at least 1, never falls as the
+// speed multiplier rises, so that is the PE of the smallest multiplier, the
+// lowest-numbered on a tie: PE 0 on a homogeneous system.
+func cheapestPE(g *taskgraph.Graph, sys *procgraph.System) (int, int64) {
+	pe := 0
+	for p := 1; p < sys.NumProcs(); p++ {
+		if sys.Speed(p) < sys.Speed(pe) {
+			pe = p
+		}
+	}
+	var sum int64
+	for n := range g.NumNodes() {
+		sum += int64(sys.ExecCost(g.Weight(int32(n)), pe))
+	}
+	return pe, sum
 }
 
 func ranks(g *taskgraph.Graph, p Priority) []int64 {

@@ -2,7 +2,6 @@ package listsched
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/bruteforce"
 	"repro/internal/gen"
@@ -33,25 +32,71 @@ func TestValidSchedules(t *testing.T) {
 	}
 }
 
-// TestUpperBoundsOptimal: the heuristic length must never beat the true
-// optimum (it is an upper bound), verified against brute force.
+// TestUpperBoundsOptimal: U must never beat the true optimum (it is the
+// length of a feasible schedule), verified against brute force across CCRs
+// and on a heterogeneous system.
 func TestUpperBoundsOptimal(t *testing.T) {
-	f := func(seed uint64) bool {
-		v := 4 + int(seed%4)
-		g := gen.MustRandom(gen.RandomConfig{V: v, CCR: 1.0, Seed: seed})
-		sys := procgraph.Complete(3)
-		opt, err := bruteforce.Solve(g, sys)
-		if err != nil {
-			return false
-		}
-		ub, err := UpperBound(g, sys)
-		if err != nil {
-			return false
-		}
-		return ub >= opt.Length
+	systems := []*procgraph.System{
+		procgraph.Complete(3),
+		procgraph.CompleteWith(3, procgraph.Config{Speeds: []float64{1.5, 1, 2}}),
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	for _, ccr := range []float64{0.1, 1, 10} {
+		for si, sys := range systems {
+			for seed := uint64(0); seed < 8; seed++ {
+				g := gen.MustRandom(gen.RandomConfig{V: 4 + int(seed%4), CCR: ccr, Seed: seed})
+				opt, err := bruteforce.Solve(g, sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ub, err := UpperBound(g, sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ub.Validate(); err != nil {
+					t.Errorf("ccr=%g sys=%d seed=%d: %v", ccr, si, seed, err)
+				}
+				if ub.Length < opt.Length {
+					t.Errorf("ccr=%g sys=%d seed=%d: U %d below the optimum %d", ccr, si, seed, ub.Length, opt.Length)
+				}
+			}
+		}
+	}
+}
+
+// TestUpperBoundOnePE: at CCR 10 the one-PE schedule beats the list
+// schedule, and U is the one-PE schedule on the cheapest PE: PE 0 on a
+// homogeneous system, the smallest speed multiplier (PE 1) on a
+// heterogeneous one.
+func TestUpperBoundOnePE(t *testing.T) {
+	g := gen.MustRandom(gen.RandomConfig{V: 8, CCR: 10, Seed: 3})
+	for _, tc := range []struct {
+		sys *procgraph.System
+		pe  int32
+	}{
+		{procgraph.Complete(3), 0},
+		{procgraph.CompleteWith(3, procgraph.Config{Speeds: []float64{2, 0.5, 1}}), 1},
+	} {
+		list, err := Schedule(g, tc.sys, Options{Priority: PriorityBLevel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ub, err := UpperBound(g, tc.sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ub.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var want int32
+		for n := range g.NumNodes() {
+			want += tc.sys.ExecCost(g.Weight(int32(n)), int(tc.pe))
+			if p := ub.Place[n].Proc; p != tc.pe {
+				t.Errorf("node %d on PE %d, want every node on PE %d", n, p, tc.pe)
+			}
+		}
+		if ub.Length != want || ub.Length >= list.Length {
+			t.Errorf("PE %d: U %d, want the one-PE length %d below the list schedule's %d", tc.pe, ub.Length, want, list.Length)
+		}
 	}
 }
 

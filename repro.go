@@ -266,7 +266,7 @@ func ScheduleParallelWith(g *Graph, sys *System, opt ParallelOptions) (*Result, 
 }
 
 // ScheduleList runs the linear-time list-scheduling heuristic (the paper's
-// upper-bound provider, ref. [14]) — fast, feasible, no optimality
+// upper-bound heuristic, ref. [14]) — fast, feasible, no optimality
 // guarantee.
 func ScheduleList(g *Graph, sys *System, opt ListOptions) (*Schedule, error) {
 	return listsched.Schedule(g, sys, opt)
