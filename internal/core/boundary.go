@@ -36,9 +36,9 @@ type Start struct {
 	// any state with f > UB.
 	UB int32
 	// Fallback is the length of the schedule Run returns when the search
-	// finds none, the one that realizes U unless a caller overrides U. A
-	// search that looks only for schedules shorter than UB loses nothing
-	// when Fallback <= UB (see Run).
+	// finds none or only a longer one, the one that realizes U unless a
+	// caller overrides U. A search that looks only for schedules shorter
+	// than UB loses nothing when Fallback <= UB (see Run).
 	Fallback int32
 }
 
@@ -62,13 +62,19 @@ var ErrInvalidResult = errors.New("engine: invalid result")
 // and checks that the Result is a feasible schedule of the length it
 // reports.
 //
-// Without a schedule from the search, the schedule ResolveUpperBound
-// returned is, so a cut-off search still yields a feasible one. It comes
-// with no guarantee, except when the search was proven and that schedule is
-// no longer than U: the search exhausted without finding a schedule shorter
-// than U, so it is optimal. Only a search that looks for schedules
-// shorter than U can end that way (dfbb and ida); the A*-family engines
-// keep states with f = U, so they always find one when it exists.
+// The schedule ResolveUpperBound returned is held in reserve: Run returns
+// it when the search found no schedule or only a longer one, so a cut-off
+// search still yields a feasible schedule and never one longer than the
+// reserve. That replacement only happens for a search that does not prune
+// against the reserve's length: bnb, which takes no U, a search with U
+// disabled, or one under a caller's U above it. A shorter reserve keeps
+// the search's certificate, since it is no longer than the schedule the
+// certificate was for. Without a schedule from the search, the reserve
+// comes with no guarantee, except when the search was proven and the
+// reserve is no longer than U: the search exhausted without finding a
+// schedule shorter than U, so it is optimal. Only a search that looks for
+// schedules shorter than U can end that way (dfbb and ida); the A*-family
+// engines keep states with f = U, so they always find one when it exists.
 //
 // A proven-optimal result reports BoundFactor 1, never the looser 1+ε, so
 // Optimal ⇔ BoundFactor == 1 holds for every engine.
@@ -84,8 +90,10 @@ func Run(m *Model, opt Options, search func(Start) (Outcome, error)) (*Result, e
 	}
 	res := &Result{Schedule: out.Best, Stats: out.Stats}
 	if out.Best == nil {
-		res.Schedule = fallback
 		out.Proved = out.Proved && fallback.Length <= ub
+	}
+	if out.Best == nil || fallback.Length < out.Best.Length {
+		res.Schedule = fallback
 	}
 	res.Length = res.Schedule.Length
 	if out.Proved {
@@ -113,8 +121,9 @@ func Run(m *Model, opt Options, search func(Start) (Outcome, error)) (*Result, e
 // listsched.UpperBound's schedule (the shorter of the b-level list schedule
 // and the one-PE schedule), unless Options.UpperBound overrides it or
 // DisableUpperBound switches it off. It returns that schedule too, which
-// Run holds in reserve for a search that finds none. Pruning against U
-// stays exact because U is the length of a feasible schedule.
+// Run holds in reserve for a search that finds none or only a longer one.
+// Pruning against U stays exact because U is the length of a feasible
+// schedule.
 func ResolveUpperBound(m *Model, opt Options) (int32, *schedule.Schedule, error) {
 	ls, err := listsched.UpperBound(m.G, m.Sys)
 	if err != nil {

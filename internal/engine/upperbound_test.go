@@ -62,3 +62,29 @@ func TestCallerUpperBound(t *testing.T) {
 		}
 	}
 }
+
+// TestCutOffNoLongerThanReserve cuts every engine off after 500 expansions
+// on a CCR-10 instance whose reserve schedule (240, all tasks on one PE)
+// is half the schedule bnb holds when cut off (488). bnb takes no U, so its
+// search does not prune against the reserve; Run must still return the
+// reserve, as it does for the engines that prune against it.
+func TestCutOffNoLongerThanReserve(t *testing.T) {
+	g := gen.MustRandom(gen.RandomConfig{V: 8, CCR: 10, Seed: 4})
+	sys := procgraph.Complete(2)
+	reserve, err := listsched.UpperBound(g, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range engine.Names() {
+		res, err := engine.Solve(context.Background(), name, g, sys, engine.Config{MaxExpanded: 500})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Length > reserve.Length {
+			t.Errorf("%s: cut-off length %d, longer than the reserve schedule %d", name, res.Length, reserve.Length)
+		}
+		if err := res.Schedule.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

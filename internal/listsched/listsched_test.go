@@ -2,6 +2,7 @@ package listsched
 
 import (
 	"testing"
+	"testing/quick"
 
 	"repro/internal/bruteforce"
 	"repro/internal/gen"
@@ -33,8 +34,9 @@ func TestValidSchedules(t *testing.T) {
 }
 
 // TestUpperBoundsOptimal: U must never beat the true optimum (it is the
-// length of a feasible schedule), verified against brute force across CCRs
-// and on a heterogeneous system.
+// length of a feasible schedule), verified against brute force on 40
+// random instances for each CCR and each of a homogeneous and a
+// heterogeneous system.
 func TestUpperBoundsOptimal(t *testing.T) {
 	systems := []*procgraph.System{
 		procgraph.Complete(3),
@@ -42,22 +44,24 @@ func TestUpperBoundsOptimal(t *testing.T) {
 	}
 	for _, ccr := range []float64{0.1, 1, 10} {
 		for si, sys := range systems {
-			for seed := uint64(0); seed < 8; seed++ {
+			f := func(seed uint64) bool {
 				g := gen.MustRandom(gen.RandomConfig{V: 4 + int(seed%4), CCR: ccr, Seed: seed})
 				opt, err := bruteforce.Solve(g, sys)
 				if err != nil {
-					t.Fatal(err)
+					return false
 				}
 				ub, err := UpperBound(g, sys)
 				if err != nil {
-					t.Fatal(err)
+					return false
 				}
 				if err := ub.Validate(); err != nil {
-					t.Errorf("ccr=%g sys=%d seed=%d: %v", ccr, si, seed, err)
+					t.Logf("ccr=%g system %d seed=%d: %v", ccr, si, seed, err)
+					return false
 				}
-				if ub.Length < opt.Length {
-					t.Errorf("ccr=%g sys=%d seed=%d: U %d below the optimum %d", ccr, si, seed, ub.Length, opt.Length)
-				}
+				return ub.Length >= opt.Length
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Errorf("ccr=%g system %d: %v", ccr, si, err)
 			}
 		}
 	}
